@@ -120,12 +120,10 @@ def cmd_build(args) -> CommandResult:
 def cmd_schedule(args) -> CommandResult:
     cfg = _config_from_args(args)
     mode = SHARED_CONSTANTS if args.mode == "shared-constants" else DERIVE_CONSTANTS
-    name = args.gate.strip().lower()
-    parsed = gates.parse_gate_name(name)
-    if isinstance(parsed, gates.GateSpec):
-        name = gates.COMPONENT_PARENT_GATE[parsed.n]
     try:
-        schedule = gate_timing_table(name, cfg, mode=mode, search_bound=args.search_bound)
+        schedule = gate_timing_table(
+            args.gate, cfg, mode=mode, search_bound=args.search_bound
+        )
     except ScheduleInfeasibleError as exc:
         return CommandResult("infeasible", {"message": str(exc)}, f"infeasible: {exc}")
     payload = schedule.to_json_dict()

@@ -12,45 +12,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .config import PhysicalConfig
-from .operators import pauli, pauli_string, pair_sites
-from .tensor import (
-    FidelityReport,
-    dagger,
-    expm_pauli,
-    identity,
-    kron,
-    phase_fidelity,
-)
+from .operators import embed_factors, pauli, pauli_string, pair_sites
+from .tensor import FidelityReport, expm_pauli, identity, phase_fidelity
 from .timing import (
     COMPONENT_PARENT_GATE,
-    COMPONENT_TOTALS,
-    COMPONENT_WINDOWS,
+    COMPONENT_TABLE,
     ConstraintKind,
     GateSchedule,
+    GateSpec,
     PulseProgram,
     PulseSegment,
     TimingSolution,
     gate_timing_table,
+    parse_gate_name,
 )
-
-GATE_KINDS = (
-    "not",
-    "cz",
-    "cnot",
-    "ccnot",
-    "cccnot",
-    "hadamard_like",
-    "cx_half",
-    "cx_neg_half",
-    "cx_quarter",
-    "cx_neg_quarter",
-)
-
-ADJOINT_BASE = {"cx_neg_half": "cx_half", "cx_neg_quarter": "cx_quarter"}
 
 X_POWER_ALPHA = {
     "cx_half": 0.5,
@@ -60,41 +41,6 @@ X_POWER_ALPHA = {
 }
 
 DRIVE_ELIMINATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """A gate kind with optional control/target sites in an n-qubit register."""
-
-    kind: str
-    control: int | None = None
-    target: int | None = None
-    n: int = 1
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not 1 <= self.n <= 4:
-            raise ValueError(f"system size {self.n} outside 1..4")
-        for site in (self.control, self.target):
-            if site is not None and not 1 <= site <= self.n:
-                raise ValueError(f"site {site} outside 1..{self.n}")
-        if self.control is not None and self.control == self.target:
-            raise ValueError("control and target must differ")
-
-    @property
-    def base_kind(self) -> str:
-        return ADJOINT_BASE.get(self.kind, self.kind)
-
-    @property
-    def is_adjoint(self) -> bool:
-        return self.kind in ADJOINT_BASE
-
-    @property
-    def label(self) -> str:
-        if self.control is not None and self.target is not None:
-            return f"{self.kind}({self.control},{self.target})/{self.n}q"
-        return f"{self.kind}/{self.n}q"
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +64,6 @@ def x_power(alpha: float) -> np.ndarray:
     return p_plus + np.exp(1j * math.pi * alpha) * p_minus
 
 
-def _embed_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for s in range(1, n + 1):
-        factor = op if s == site else identity(2)
-        out = np.kron(out, factor)
-    return out
-
-
 def controlled_unitary(
     control: int, target: int, n: int, block: np.ndarray
 ) -> np.ndarray:
@@ -133,9 +71,9 @@ def controlled_unitary(
     if control == target:
         raise ValueError("control and target must differ")
     z = pauli("z")
-    p0 = _embed_op((identity(2) + z) / 2, control, n)
-    p1 = _embed_op((identity(2) - z) / 2, control, n)
-    return p0 + p1 @ _embed_op(block, target, n)
+    p0 = embed_factors({control: (identity(2) + z) / 2}, n)
+    p1 = embed_factors({control: (identity(2) - z) / 2, target: block}, n)
+    return p0 + p1
 
 
 def controlled_x_power(control: int, target: int, n: int, alpha: float) -> np.ndarray:
@@ -225,40 +163,6 @@ def _window_angle(
     return _float_angle(kind.knob_value(cfg) * timing.duration / divisor)
 
 
-def u_phi(n: int, timing: TimingSolution, cfg: PhysicalConfig) -> np.ndarray:
-    """Resonance evolution operator of the coupled register at solved residues.
-
-    The operator is the product of per-site z factors, per-site drive (x)
-    factors, Ising pair factors and the reference-offset phase, each
-    evaluated at the exact residue the timing solution pins down. With the
-    drive factor eliminated the result is diagonal.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError(f"system size {n} outside 1..4")
-    if not cfg.at_resonance:
-        raise ValueError("u_phi requires the resonance condition omega = gamma*b0")
-
-    a_z = _window_angle(timing, ConstraintKind.ZEEMAN, 2, cfg)
-    a_x = _window_angle(timing, ConstraintKind.DRIVE, 2, cfg)
-    a_zz = _window_angle(timing, ConstraintKind.EXCHANGE, 4, cfg)
-    a_offset = _window_angle(timing, ConstraintKind.OFFSET, 1, cfg)
-
-    if n >= 3 and abs(_float_angle(2 * a_x)) > DRIVE_ELIMINATION_TOL:
-        raise ValueError(
-            f"drive factor is not eliminated: gamma*B1*t = {2 * a_x!r} mod 2*pi"
-        )
-
-    u = identity(2**n)
-    for pair in reversed(pair_sites(n)):
-        g = pauli_string({pair[0]: "z", pair[1]: "z"}, n)
-        u = expm_pauli(g, -a_zz) @ u
-    for site in range(n, 0, -1):
-        u = expm_pauli(pauli_string({site: "x"}, n), a_x) @ u
-    for site in range(n, 0, -1):
-        u = expm_pauli(pauli_string({site: "z"}, n), a_z) @ u
-    return np.exp(-1j * a_offset) * u
-
-
 def program_matrix(program: PulseProgram) -> np.ndarray:
     """Replay a pulse program: time-ordered segments compose right-to-left."""
     u = identity(2**program.n)
@@ -288,6 +192,44 @@ def _u_phi_segments(
     return segments
 
 
+def u_phi(n: int, timing: TimingSolution, cfg: PhysicalConfig) -> np.ndarray:
+    """Resonance evolution operator of the coupled register at solved residues.
+
+    The operator is the product of per-site z factors, per-site drive (x)
+    factors, Ising pair factors and the reference-offset phase, each
+    evaluated at the exact residue the timing solution pins down. With the
+    drive factor eliminated the result is diagonal.
+    """
+    if not 1 <= n <= 4:
+        raise ValueError(f"system size {n} outside 1..4")
+    if not cfg.at_resonance:
+        raise ValueError("u_phi requires the resonance condition omega = gamma*b0")
+    a_x = _window_angle(timing, ConstraintKind.DRIVE, 2, cfg)
+    if n >= 3 and abs(_float_angle(2 * a_x)) > DRIVE_ELIMINATION_TOL:
+        raise ValueError(
+            f"drive factor is not eliminated: gamma*B1*t = {2 * a_x!r} mod 2*pi"
+        )
+    segments = tuple(_u_phi_segments(timing, n, cfg, timing.label))
+    return program_matrix(PulseProgram(f"u_phi/{n}q", n, segments, timing.duration))
+
+
+def _pulse_angle(schedule: GateSchedule, label: str) -> float:
+    """Sigma-level angle of a free-precession pulse window (omega*t/2)."""
+    sol = schedule.solutions[label]
+    return _window_angle(sol, ConstraintKind.ZEEMAN, 2, schedule.cfg)
+
+
+def _y_conjugated(
+    target: int, a_y: float, label_y: str, inner: list[PulseSegment]
+) -> tuple[PulseSegment, ...]:
+    """The target-qubit y pulse, the inner segments, then the inverse y pulse."""
+    return (
+        PulseSegment((target,), ("y",), a_y, label_y),
+        *inner,
+        PulseSegment((target,), ("y",), -a_y, label_y),
+    )
+
+
 def _adjoint_program(program: PulseProgram, label: str) -> PulseProgram:
     segments = tuple(
         PulseSegment(s.sites, s.axes, -s.angle, s.duration_label)
@@ -304,40 +246,33 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
     and the phase-accumulation window between them.
     """
     key = (spec.n, spec.base_kind, spec.control, spec.target)
-    if key not in COMPONENT_WINDOWS:
+    if key not in COMPONENT_TABLE:
         raise ValueError(f"no pulse construction for component {spec.label}")
     if schedule.gate != COMPONENT_PARENT_GATE[spec.n]:
         raise ValueError(
             f"schedule is for {schedule.gate!r}, component {spec.label} "
             f"needs {COMPONENT_PARENT_GATE[spec.n]!r}"
         )
-    labels = COMPONENT_WINDOWS[key]
+    labels, total_label = COMPONENT_TABLE[key]
     if spec.base_kind == "cnot":
         label_phi, label_y = labels
         label_d = label_y
     else:
         label_phi, label_y, label_d = labels
-    sol_phi = schedule.solutions[label_phi]
-    sol_y = schedule.solutions[label_y]
-    sol_d = schedule.solutions[label_d]
-    cfg_phi = schedule.window_config(label_phi)
-
-    a_y = _window_angle(sol_y, ConstraintKind.ZEEMAN, 2, schedule.cfg)
-    a_d = _window_angle(sol_d, ConstraintKind.ZEEMAN, 2, schedule.cfg)
+    a_d = _pulse_angle(schedule, label_d)
     c, t = spec.control, spec.target
     spectators = [s for s in range(1, spec.n + 1) if s not in (c, t)]
     spectator_pairs = [p for p in pair_sites(spec.n) if p != (min(c, t), max(c, t))]
 
-    segments: list[PulseSegment] = [PulseSegment((t,), ("y",), a_y, label_y)]
-    for site in spectators:
-        segments.append(PulseSegment((site,), ("z",), -a_d, label_d))
+    inner = [PulseSegment((site,), ("z",), -a_d, label_d) for site in spectators]
     for i, j in spectator_pairs:
-        segments.append(PulseSegment((i, j), ("z", "z"), a_d, label_d))
-    segments.extend(_u_phi_segments(sol_phi, spec.n, cfg_phi, label_phi))
-    segments.append(PulseSegment((t,), ("y",), -a_y, label_y))
+        inner.append(PulseSegment((i, j), ("z", "z"), a_d, label_d))
+    sol_phi = schedule.solutions[label_phi]
+    cfg_phi = schedule.window_config(label_phi)
+    inner.extend(_u_phi_segments(sol_phi, spec.n, cfg_phi, label_phi))
+    segments = _y_conjugated(t, _pulse_angle(schedule, label_y), label_y, inner)
 
-    total = schedule.totals[COMPONENT_TOTALS[key]]
-    program = PulseProgram(spec.label, spec.n, tuple(segments), total)
+    program = PulseProgram(spec.label, spec.n, segments, schedule.totals[total_label])
     if spec.is_adjoint:
         program = _adjoint_program(program, spec.label)
     return program
@@ -353,16 +288,6 @@ def pulse_component(
 # ---------------------------------------------------------------------------
 # Named gates
 # ---------------------------------------------------------------------------
-
-def _default_schedule(
-    gate: str, cfg: PhysicalConfig | None, timings: GateSchedule | None
-) -> tuple[PhysicalConfig, GateSchedule]:
-    if cfg is None:
-        cfg = PhysicalConfig.natural_units()
-    if timings is None:
-        timings = gate_timing_table(gate, cfg)
-    return cfg, timings
-
 
 def not_program(schedule: GateSchedule) -> PulseProgram:
     """Single-qubit inverter: drive flip, frame phase, then a z quarter turn."""
@@ -381,30 +306,25 @@ def not_program(schedule: GateSchedule) -> PulseProgram:
     return PulseProgram("not/1q", 1, segments, schedule.totals["T"])
 
 
-def not_gate_1q(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Composed single-qubit NOT; equals X up to the global phase -i."""
-    cfg, timings = _default_schedule("not", cfg, timings)
-    return program_matrix(not_program(timings))
+def cz_program(schedule: GateSchedule) -> PulseProgram:
+    """Two-qubit controlled-Z: the evolution operator of the t1 window alone."""
+    sol, cfg = schedule.solutions["t1"], schedule.window_config("t1")
+    segments = tuple(_u_phi_segments(sol, 2, cfg, "t1"))
+    return PulseProgram("cz/2q", 2, segments, schedule.totals["T"])
 
 
-def controlled_z_2q(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Two-qubit controlled-Z from the evolution operator alone."""
-    cfg, timings = _default_schedule("cz", cfg, timings)
-    return u_phi(2, timings.solutions["t1"], timings.window_config("t1"))
+def cnot_program(schedule: GateSchedule) -> PulseProgram:
+    """The cz window between the target-qubit y pulse of t2 and its inverse."""
+    a_y = _pulse_angle(schedule, "t2")
+    segments = _y_conjugated(2, a_y, "t2", cz_program(schedule).segments)
+    return PulseProgram("cnot/2q", 2, segments, schedule.totals["T"])
 
 
-def cnot_2q(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Controlled-Z conjugated by the target-qubit y rotation."""
-    cfg, timings = _default_schedule("cnot", cfg, timings)
-    cz = u_phi(2, timings.solutions["t1"], timings.window_config("t1"))
-    u_h = kron(identity(2), hadamard_like())
-    return u_h @ cz @ dagger(u_h)
+def hadamard_program(schedule: GateSchedule) -> PulseProgram:
+    """The inverse y pulse of the cnot t2 window, exp(-i (pi/4) sigma_y)."""
+    segment = PulseSegment((1,), ("y",), -_pulse_angle(schedule, "t2"), "t2")
+    duration = schedule.solutions["t2"].duration
+    return PulseProgram("hadamard_like/1q", 1, (segment,), duration)
 
 
 CCNOT_SEQUENCE: tuple[GateSpec, ...] = (
@@ -432,27 +352,81 @@ CCCNOT_SEQUENCE: tuple[GateSpec, ...] = (
 )
 
 
-def _compose(sequence, cfg, timings) -> np.ndarray:
-    u = identity(2 ** sequence[0].n)
-    for spec in sequence:  # time order; each new factor multiplies from the left
-        u = pulse_component(spec, cfg, timings) @ u
-    return u
+def sequence_program(
+    label: str, sequence: tuple[GateSpec, ...], schedule: GateSchedule
+) -> PulseProgram:
+    """The component programs of a circuit, concatenated in time order."""
+    segments = tuple(
+        seg for spec in sequence for seg in component_program(spec, schedule).segments
+    )
+    return PulseProgram(label, sequence[0].n, segments, schedule.totals["T"])
+
+
+ProgramBuilder = Callable[[GateSchedule], PulseProgram]
+
+# Whole gate name -> (timing table, pulse program builder, ideal target).
+GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
+    "not": ("not", not_program, GateSpec("not", n=1)),
+    "cz": ("cz", cz_program, GateSpec("cz", 1, 2, 2)),
+    "cnot": ("cnot", cnot_program, GateSpec("cnot", 1, 2, 2)),
+    "hadamard_like": ("cnot", hadamard_program, GateSpec("hadamard_like", n=1)),
+    "ccnot": (
+        "ccnot",
+        partial(sequence_program, "ccnot/3q", CCNOT_SEQUENCE),
+        GateSpec("ccnot", n=3),
+    ),
+    "cccnot": (
+        "cccnot",
+        partial(sequence_program, "cccnot/4q", CCCNOT_SEQUENCE),
+        GateSpec("cccnot", n=4),
+    ),
+}
+
+
+def _registered_pulse(
+    name: str, cfg: PhysicalConfig | None, timings: GateSchedule | None
+) -> np.ndarray:
+    table, build_program, _ = GATE_REGISTRY[name]
+    if timings is None:
+        if cfg is None:
+            cfg = PhysicalConfig.natural_units()
+        timings = gate_timing_table(table, cfg)
+    return program_matrix(build_program(timings))
+
+
+def not_gate_1q(
+    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
+) -> np.ndarray:
+    """Composed single-qubit NOT; equals X up to the global phase -i."""
+    return _registered_pulse("not", cfg, timings)
+
+
+def controlled_z_2q(
+    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
+) -> np.ndarray:
+    """Two-qubit controlled-Z from the evolution operator alone."""
+    return _registered_pulse("cz", cfg, timings)
+
+
+def cnot_2q(
+    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
+) -> np.ndarray:
+    """Controlled-Z conjugated by the target-qubit y rotation."""
+    return _registered_pulse("cnot", cfg, timings)
 
 
 def compose_ccnot(
     cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
 ) -> np.ndarray:
     """Five-component doubly-controlled NOT on three qubits."""
-    cfg, timings = _default_schedule("ccnot", cfg, timings)
-    return _compose(CCNOT_SEQUENCE, cfg, timings)
+    return _registered_pulse("ccnot", cfg, timings)
 
 
 def compose_cccnot(
     cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
 ) -> np.ndarray:
     """Thirteen-component triply-controlled NOT on four qubits."""
-    cfg, timings = _default_schedule("cccnot", cfg, timings)
-    return _compose(CCCNOT_SEQUENCE, cfg, timings)
+    return _registered_pulse("cccnot", cfg, timings)
 
 
 def ideal_sequence_product(sequence) -> np.ndarray:
@@ -466,23 +440,9 @@ def ideal_sequence_product(sequence) -> np.ndarray:
 # Pulse-vs-ideal audit
 # ---------------------------------------------------------------------------
 
-AUDIT_SPECS_3Q: tuple[GateSpec, ...] = (
-    GateSpec("cx_half", 2, 3, 3),
-    GateSpec("cx_neg_half", 2, 3, 3),
-    GateSpec("cnot", 1, 2, 3),
-    GateSpec("cx_half", 1, 3, 3),
-)
-
-AUDIT_SPECS_4Q: tuple[GateSpec, ...] = (
-    GateSpec("cx_quarter", 1, 4, 4),
-    GateSpec("cnot", 1, 2, 4),
-    GateSpec("cx_neg_quarter", 2, 4, 4),
-    GateSpec("cx_quarter", 2, 4, 4),
-    GateSpec("cnot", 2, 3, 4),
-    GateSpec("cx_neg_quarter", 3, 4, 4),
-    GateSpec("cnot", 1, 3, 4),
-    GateSpec("cx_quarter", 3, 4, 4),
-)
+# The distinct components of each circuit, in order of first use.
+AUDIT_SPECS_3Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCNOT_SEQUENCE))
+AUDIT_SPECS_4Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCCNOT_SEQUENCE))
 
 AUDIT_FLAG_TOL = 1e-9
 
@@ -519,38 +479,6 @@ class GateBuild:
     schedule: GateSchedule
 
 
-def parse_gate_name(text: str) -> GateSpec | str:
-    """Parse a CLI gate name: a whole gate or 'kind:control,target[@n]'."""
-    name = text.strip().lower()
-    if ":" not in name:
-        if name in ("not", "cz", "cnot", "ccnot", "cccnot", "hadamard_like"):
-            return name
-        raise ValueError(f"unknown gate {text!r}")
-    kind, _, rest = name.partition(":")
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    sites, _, n_text = rest.partition("@")
-    try:
-        control_s, target_s = sites.split(",")
-        control, target = int(control_s), int(target_s)
-    except ValueError:
-        raise ValueError(f"expected 'kind:control,target[@n]', got {text!r}") from None
-    base = ADJOINT_BASE.get(kind, kind)
-    if n_text:
-        n = int(n_text)
-    else:
-        candidates = [
-            nn for nn in (3, 4) if (nn, base, control, target) in COMPONENT_WINDOWS
-        ]
-        if not candidates:
-            raise ValueError(f"no pulse construction for component {text!r}")
-        n = candidates[0]
-    spec = GateSpec(kind, control, target, n)
-    if (n, spec.base_kind, control, target) not in COMPONENT_WINDOWS:
-        raise ValueError(f"no pulse construction for component {text!r}")
-    return spec
-
-
 def build_gate(name: str, cfg: PhysicalConfig | None = None) -> GateBuild:
     """Build the pulse and ideal layers of a named gate and compare them."""
     if cfg is None:
@@ -558,32 +486,12 @@ def build_gate(name: str, cfg: PhysicalConfig | None = None) -> GateBuild:
     parsed = parse_gate_name(name)
     if isinstance(parsed, GateSpec):
         schedule = gate_timing_table(COMPONENT_PARENT_GATE[parsed.n], cfg)
-        pulse = pulse_component(parsed, cfg, schedule)
-        ideal = ideal_component(parsed)
-        label = parsed.label
+        program, spec, label = component_program(parsed, schedule), parsed, parsed.label
     else:
-        if parsed == "hadamard_like":
-            schedule = gate_timing_table("cnot", cfg)
-            pulse = expm_pauli(pauli("y"), -math.pi / 4)
-            ideal = hadamard_like()
-        else:
-            schedule = gate_timing_table(parsed, cfg)
-            builders = {
-                "not": not_gate_1q,
-                "cz": controlled_z_2q,
-                "cnot": cnot_2q,
-                "ccnot": compose_ccnot,
-                "cccnot": compose_cccnot,
-            }
-            pulse = builders[parsed](cfg, schedule)
-            targets = {
-                "not": GateSpec("not", n=1),
-                "cz": GateSpec("cz", 1, 2, 2),
-                "cnot": GateSpec("cnot", 1, 2, 2),
-                "ccnot": GateSpec("ccnot", n=3),
-                "cccnot": GateSpec("cccnot", n=4),
-            }
-            ideal = ideal_component(targets[parsed])
-        label = parsed
+        table, build_program, spec = GATE_REGISTRY[parsed]
+        schedule = gate_timing_table(table, cfg)
+        program, label = build_program(schedule), parsed
+    pulse = program_matrix(program)
+    ideal = ideal_component(spec)
     report = phase_fidelity(pulse, ideal, gate_label=label)
     return GateBuild(label, pulse, ideal, report, schedule)

@@ -45,20 +45,29 @@ def _check_site(site: int, n: int) -> None:
         raise ValueError(f"site {site} outside 1..{n}")
 
 
-def pauli_string(factors: dict[int, str], n: int) -> np.ndarray:
-    """Kronecker product with the given Pauli at each listed site.
+def embed_factors(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Kronecker product with the given 2x2 matrix at each listed site.
 
-    ``factors`` maps site index (1-based) to an axis; unlisted sites get
-    the identity. An empty mapping yields the full identity.
+    ``factors`` maps site index (1-based) to a 2x2 matrix; unlisted sites
+    get the identity. An empty mapping yields the full identity.
     """
     _check_system_size(n)
     for site in factors:
         _check_site(site, n)
     out = np.ones((1, 1), dtype=complex)
     for site in range(1, n + 1):
-        factor = _SIGMA[factors[site]] if site in factors else IDENTITY_2
+        factor = factors.get(site, IDENTITY_2)
         out = np.kron(out, factor) if out.size == 1 else kron(out, factor)
     return out
+
+
+def pauli_string(factors: dict[int, str], n: int) -> np.ndarray:
+    """Kronecker product with the given Pauli at each listed site.
+
+    ``factors`` maps site index (1-based) to an axis; unlisted sites get
+    the identity. An empty mapping yields the full identity.
+    """
+    return embed_factors({site: _SIGMA[axis] for site, axis in factors.items()}, n)
 
 
 def embed_sigma(axis: str, site: int, n: int) -> np.ndarray:

@@ -5,6 +5,10 @@ frequency, exchange strength, reference offset, drive amplitude) land on
 prescribed residues modulo 2 pi simultaneously. Residue targets are exact
 rational multiples of pi and all congruence algebra happens on rationals;
 floats appear only in the final durations and coefficients.
+
+The gate-name grammar (GateSpec, parse_gate_name) lives here too, next to
+the component table it checks names against, so gate_timing_table, the gate
+library and the CLI all resolve names the same way.
 """
 from __future__ import annotations
 
@@ -514,32 +518,101 @@ GATE_TABLES: dict[str, GateTable] = {
     "cccnot": _cccnot_table(),
 }
 
-# Timing labels used by each component gate, keyed by (n, kind, control, target).
-COMPONENT_WINDOWS: dict[tuple[int, str, int, int], tuple[str, ...]] = {
-    (3, "cx_half", 2, 3): ("t1", "t2", "t3"),
-    (3, "cnot", 1, 2): ("t4", "t5"),
-    (3, "cx_half", 1, 3): ("t6", "t7", "t8"),
-    (4, "cx_quarter", 1, 4): ("t1", "t2", "t3"),
-    (4, "cnot", 1, 2): ("t4", "t5"),
-    (4, "cx_quarter", 2, 4): ("t6", "t7", "t8"),
-    (4, "cnot", 2, 3): ("t9", "t10"),
-    (4, "cx_quarter", 3, 4): ("t11", "t12", "t13"),
-    (4, "cnot", 1, 3): ("t14", "t15"),
-}
-
-COMPONENT_TOTALS: dict[tuple[int, str, int, int], str] = {
-    (3, "cx_half", 2, 3): "T1",
-    (3, "cnot", 1, 2): "T2",
-    (3, "cx_half", 1, 3): "T3",
-    (4, "cx_quarter", 1, 4): "T1",
-    (4, "cnot", 1, 2): "T2",
-    (4, "cx_quarter", 2, 4): "T3",
-    (4, "cnot", 2, 3): "T4",
-    (4, "cx_quarter", 3, 4): "T5",
-    (4, "cnot", 1, 3): "T6",
+# Each component gate, keyed by (n, kind, control, target): the timing
+# labels of its windows and the schedule total it spans.
+COMPONENT_TABLE: dict[tuple[int, str, int, int], tuple[tuple[str, ...], str]] = {
+    (3, "cx_half", 2, 3): (("t1", "t2", "t3"), "T1"),
+    (3, "cnot", 1, 2): (("t4", "t5"), "T2"),
+    (3, "cx_half", 1, 3): (("t6", "t7", "t8"), "T3"),
+    (4, "cx_quarter", 1, 4): (("t1", "t2", "t3"), "T1"),
+    (4, "cnot", 1, 2): (("t4", "t5"), "T2"),
+    (4, "cx_quarter", 2, 4): (("t6", "t7", "t8"), "T3"),
+    (4, "cnot", 2, 3): (("t9", "t10"), "T4"),
+    (4, "cx_quarter", 3, 4): (("t11", "t12", "t13"), "T5"),
+    (4, "cnot", 1, 3): (("t14", "t15"), "T6"),
 }
 
 COMPONENT_PARENT_GATE = {3: "ccnot", 4: "cccnot"}
+
+# Gates built whole, by name alone; every other kind is a component.
+WHOLE_GATES = ("not", "cz", "cnot", "ccnot", "cccnot", "hadamard_like")
+
+GATE_KINDS = (
+    *WHOLE_GATES,
+    "cx_half",
+    "cx_neg_half",
+    "cx_quarter",
+    "cx_neg_quarter",
+)
+
+ADJOINT_BASE = {"cx_neg_half": "cx_half", "cx_neg_quarter": "cx_quarter"}
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """A gate kind with optional control/target sites in an n-qubit register."""
+
+    kind: str
+    control: int | None = None
+    target: int | None = None
+    n: int = 1
+
+    def __post_init__(self):
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not 1 <= self.n <= 4:
+            raise ValueError(f"system size {self.n} outside 1..4")
+        for site in (self.control, self.target):
+            if site is not None and not 1 <= site <= self.n:
+                raise ValueError(f"site {site} outside 1..{self.n}")
+        if self.control is not None and self.control == self.target:
+            raise ValueError("control and target must differ")
+
+    @property
+    def base_kind(self) -> str:
+        return ADJOINT_BASE.get(self.kind, self.kind)
+
+    @property
+    def is_adjoint(self) -> bool:
+        return self.kind in ADJOINT_BASE
+
+    @property
+    def label(self) -> str:
+        if self.control is not None and self.target is not None:
+            return f"{self.kind}({self.control},{self.target})/{self.n}q"
+        return f"{self.kind}/{self.n}q"
+
+
+def parse_gate_name(text: str) -> GateSpec | str:
+    """Parse a gate name: a whole gate or a component 'kind:control,target[@n]'.
+
+    Whole gates come back as their lower-case name, components as a
+    GateSpec. Without '@n' a component takes the smallest register whose
+    circuit contains it.
+    """
+    name = text.strip().lower()
+    if ":" not in name:
+        if name in WHOLE_GATES:
+            return name
+        raise ValueError(
+            f"unknown gate {text!r}; expected one of {list(WHOLE_GATES)} "
+            "or a component like 'cx_half:2,3'"
+        )
+    kind, _, rest = name.partition(":")
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    sites, _, n_text = rest.partition("@")
+    try:
+        control, target = (int(s) for s in sites.split(","))
+        sizes = (int(n_text),) if n_text else tuple(COMPONENT_PARENT_GATE)
+    except ValueError:
+        raise ValueError(f"expected 'kind:control,target[@n]', got {text!r}") from None
+    base = ADJOINT_BASE.get(kind, kind)
+    for n in sizes:
+        if (n, base, control, target) in COMPONENT_TABLE:
+            return GateSpec(kind, control, target, n)
+    raise ValueError(f"no pulse construction for component {text!r}")
+
 
 DERIVE_CONSTANTS = "derive-constants"
 SHARED_CONSTANTS = "shared-constants"
@@ -620,31 +693,6 @@ class GateSchedule:
         return out.getvalue()
 
 
-_COMPONENT_KINDS_BY_SIZE = {"cx_half": 3, "cx_neg_half": 3, "cx_quarter": 4, "cx_neg_quarter": 4}
-
-
-def _resolve_gate_name(gate: str) -> str:
-    """Map component names (kind:c,t[@n]) to their parent gate."""
-    name = gate.lower().strip()
-    if ":" not in name:
-        return name
-    kind, _, rest = name.partition(":")
-    _, _, n_text = rest.partition("@")
-    try:
-        if n_text:
-            n = int(n_text)
-        elif kind in _COMPONENT_KINDS_BY_SIZE:
-            n = _COMPONENT_KINDS_BY_SIZE[kind]
-        elif kind == "cnot":
-            sites = tuple(int(s) for s in rest.split("@")[0].split(","))
-            n = 3 if (3, "cnot", *sites) in COMPONENT_WINDOWS else 4
-        else:
-            return name
-    except ValueError:
-        return name
-    return COMPONENT_PARENT_GATE.get(n, name)
-
-
 def _derive_window(
     label: str, constraints: tuple[TimingConstraint, ...], cfg: PhysicalConfig
 ) -> tuple[TimingSolution, dict[str, float]]:
@@ -704,12 +752,10 @@ def gate_timing_table(
     Component names like ``cx_half:2,3`` resolve to the parent circuit's
     table, which contains the component's windows and aggregate totals.
     """
-    name = _resolve_gate_name(gate)
+    parsed = parse_gate_name(gate)
+    name = parsed if isinstance(parsed, str) else COMPONENT_PARENT_GATE[parsed.n]
     if name not in GATE_TABLES:
-        raise ValueError(
-            f"unknown gate {gate!r}; expected one of {sorted(GATE_TABLES)} "
-            "or a component like 'cx_half:2,3'"
-        )
+        raise ValueError(f"gate {gate!r} has no timing table of its own")
     if mode not in (DERIVE_CONSTANTS, SHARED_CONSTANTS):
         raise ValueError(f"unknown mode {mode!r}")
     if cfg.omega <= 0:

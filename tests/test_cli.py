@@ -60,6 +60,13 @@ class TestBuild:
         assert "unknown gate" in out
 
 
+@pytest.mark.parametrize("command", ["build", "schedule"])
+def test_bad_register_size_names_the_grammar(capsys, command):
+    code, out = run_cli(capsys, command, "cnot:1,2@x", "--natural-units")
+    assert code == 3
+    assert "expected 'kind:control,target[@n]'" in out
+
+
 class TestSchedule:
     def test_schedule_ccnot_rows_and_total(self, capsys):
         code, out = run_cli(capsys, "schedule", "ccnot", "--natural-units", "--json")

@@ -11,6 +11,7 @@ from spinforge.gates import (
     AUDIT_SPECS_4Q,
     CCCNOT_SEQUENCE,
     CCNOT_SEQUENCE,
+    GATE_REGISTRY,
     GateSpec,
     audit_components,
     build_gate,
@@ -43,7 +44,13 @@ from spinforge.tensor import (
     phase_fidelity,
     unitarity_defect,
 )
-from spinforge.timing import gate_timing_table
+from spinforge.timing import (
+    ADJOINT_BASE,
+    COMPONENT_TABLE,
+    GATE_KINDS,
+    WHOLE_GATES,
+    gate_timing_table,
+)
 
 CFG = PhysicalConfig.natural_units()
 
@@ -436,3 +443,32 @@ class TestGateSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             GateSpec("sqrtswap", 1, 2, 2)
+
+
+WRAPPERS = {
+    "not": not_gate_1q,
+    "cz": controlled_z_2q,
+    "cnot": cnot_2q,
+    "ccnot": compose_ccnot,
+    "cccnot": compose_cccnot,
+}
+
+# Every component name the parser accepts, adjoint kinds included.
+COMPONENT_NAMES = [
+    f"{kind}:{c},{t}@{n}"
+    for n, base, c, t in COMPONENT_TABLE
+    for kind in GATE_KINDS
+    if ADJOINT_BASE.get(kind, kind) == base
+]
+
+
+class TestEveryAcceptedName:
+    def test_registry_holds_every_whole_gate(self):
+        assert set(GATE_REGISTRY) == set(WHOLE_GATES)
+
+    @pytest.mark.parametrize("name", [*GATE_REGISTRY, *COMPONENT_NAMES])
+    def test_build_is_exact(self, name):
+        build = build_gate(name, CFG)
+        assert build.report.fidelity == pytest.approx(1.0, abs=1e-12)
+        if name in WRAPPERS:
+            assert np.array_equal(WRAPPERS[name](CFG), build.pulse)

@@ -313,6 +313,14 @@ class TestGateTables:
         with pytest.raises(ValueError, match="unknown gate"):
             gate_timing_table("swap", cfg)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["cx_half:1,2", "cx_half:9,9", "cx_quarter:junk", "cnot:2,4", "cx_half:2,3@4"],
+    )
+    def test_malformed_component_names_rejected(self, cfg, name):
+        with pytest.raises(ValueError):
+            gate_timing_table(name, cfg)
+
     def test_off_resonance_rejected(self):
         cfg = PhysicalConfig.natural_units(omega=1.5)
         with pytest.raises(ValueError, match="resonance"):
