@@ -5,6 +5,7 @@ Energies are angular frequencies (hbar = 1), fields are tesla.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ class PhysicalConfig:
     def __post_init__(self):
         for name in ("gamma", "b0", "b1", "omega", "j_coupling", "b_prime"):
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
         if self.b1 > self.b0:

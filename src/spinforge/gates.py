@@ -164,15 +164,29 @@ def _window_angle(
 
 
 def program_matrix(program: PulseProgram) -> np.ndarray:
-    """Replay a pulse program: time-ordered segments compose right-to-left."""
-    u = identity(2**program.n)
+    """Replay a pulse program: time-ordered segments compose right-to-left.
+
+    Each distinct Pauli string is built once per call. A segment whose
+    string is diagonal (a scalar phase, z or zz) is the phase vector
+    cos(a) + i sin(a) diag(P); a run of them is merged into one vector that
+    scales the rows of U before the next x/y segment and once at the end.
+    Every other segment goes through ``expm_pauli`` and one dense product.
+    """
+    dim = 2**program.n
+    strings: dict[tuple, np.ndarray] = {}
+    u = identity(dim)
+    phases = np.ones(dim, dtype=complex)
     for seg in program.segments:
-        if seg.sites:
-            g = pauli_string(dict(zip(seg.sites, seg.axes)), program.n)
-            u = expm_pauli(g, seg.angle) @ u
+        key = (seg.sites, seg.axes)
+        if key not in strings:
+            strings[key] = pauli_string(dict(zip(seg.sites, seg.axes)), program.n)
+        g = strings[key]
+        if all(axis == "z" for axis in seg.axes):
+            phases = (math.cos(seg.angle) + 1j * math.sin(seg.angle) * g.diagonal()) * phases
         else:
-            u = np.exp(1j * seg.angle) * u
-    return u
+            u = expm_pauli(g, seg.angle) @ (phases[:, None] * u)
+            phases = np.ones(dim, dtype=complex)
+    return phases[:, None] * u
 
 
 def _u_phi_segments(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import kron
+from .tensor import as_matrix, kron
 
 MAX_QUBITS = 4
 AXES = ("x", "y", "z")
@@ -49,15 +49,15 @@ def embed_factors(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Kronecker product with the given 2x2 matrix at each listed site.
 
     ``factors`` maps site index (1-based) to a 2x2 matrix; unlisted sites
-    get the identity. An empty mapping yields the full identity.
+    get the identity. An empty mapping yields the full identity. The
+    result is always a fresh array, never one of the factors.
     """
     _check_system_size(n)
     for site in factors:
         _check_site(site, n)
-    out = np.ones((1, 1), dtype=complex)
-    for site in range(1, n + 1):
-        factor = factors.get(site, IDENTITY_2)
-        out = np.kron(out, factor) if out.size == 1 else kron(out, factor)
+    out = as_matrix(factors.get(1, IDENTITY_2)).copy()
+    for site in range(2, n + 1):
+        out = kron(out, factors.get(site, IDENTITY_2))
     return out
 
 

@@ -42,6 +42,8 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with the left factor on the most significant bits.
 
     The product dimension must stay within the four-qubit limit of 16.
+    Entry (i*q + k, j*q + l) is a[i, j] * b[k, l], formed as one broadcast
+    product and reshaped, the same arithmetic as ``np.kron``.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -50,7 +52,7 @@ def kron(a, b) -> np.ndarray:
         raise ValueError(
             f"kron product dimension {dim} exceeds the supported maximum {MAX_DIM}"
         )
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
 
 
 def hermiticity_defect(h) -> float:

@@ -285,6 +285,22 @@ class TestConfigPlumbing:
         doc = payload_from(out)
         assert doc["payload"]["config"]["j"] == 2.0
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--j", "inf", "j_coupling"), ("--b0", "nan", "b0"), ("--b1", "nan", "b1")],
+    )
+    def test_non_finite_flag_errors(self, capsys, flag, value, field):
+        code, out = run_cli(capsys, "build", "cz", "--natural-units", flag, value)
+        assert code == 3
+        assert f"{field} must be finite" in out
+
+    def test_non_finite_config_file_errors(self, capsys, tmp_path):
+        cfgfile = tmp_path / "nan.cfg"
+        cfgfile.write_text("gamma = 1\nb0 = nan\nomega = 1\n")
+        code, out = run_cli(capsys, "build", "cz", "--config", str(cfgfile), "--json")
+        assert code == 3
+        assert "b0 must be finite" in payload_from(out)["payload"]["message"]
+
     def test_env_var_config(self, capsys, tmp_path, monkeypatch):
         cfgfile = tmp_path / "env.cfg"
         cfgfile.write_text("gamma = 1\nb0 = 1\nomega = 1\n")

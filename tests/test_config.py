@@ -48,6 +48,14 @@ class TestPhysicalConfig:
         with pytest.raises(ValueError, match="non-negative"):
             PhysicalConfig.natural_units(j_coupling=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["gamma", "b0", "b1", "omega", "j_coupling", "b_prime"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_constants_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PhysicalConfig.natural_units(**{field: value})
+
     def test_drive_larger_than_static_field_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             PhysicalConfig.natural_units(b1=2.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinforge.config import PhysicalConfig
 from spinforge.gates import (
@@ -13,6 +15,7 @@ from spinforge.gates import (
     CCNOT_SEQUENCE,
     GATE_REGISTRY,
     GateSpec,
+    _adjoint_program,
     audit_components,
     build_gate,
     canonical_toffoli,
@@ -34,7 +37,7 @@ from spinforge.gates import (
     u_phi,
     x_power,
 )
-from spinforge.operators import pauli
+from spinforge.operators import pauli, pauli_string
 from spinforge.tensor import (
     basis_state,
     dagger,
@@ -49,6 +52,8 @@ from spinforge.timing import (
     COMPONENT_TABLE,
     GATE_KINDS,
     WHOLE_GATES,
+    PulseProgram,
+    PulseSegment,
     gate_timing_table,
 )
 
@@ -472,3 +477,80 @@ class TestEveryAcceptedName:
         assert build.report.fidelity == pytest.approx(1.0, abs=1e-12)
         if name in WRAPPERS:
             assert np.array_equal(WRAPPERS[name](CFG), build.pulse)
+
+
+# ---------------------------------------------------------------------------
+# program_matrix against the literal segment-by-segment product
+# ---------------------------------------------------------------------------
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def diagonal_segments(draw, n):
+    """A scalar phase, a single z, or a zz pair (when n >= 2)."""
+    kinds = ["phase", "z"] + (["zz"] if n >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "phase":
+        sites = ()
+    elif kind == "z":
+        sites = (draw(st.integers(1, n)),)
+    else:
+        sites = tuple(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+    return PulseSegment(sites, ("z",) * len(sites), draw(angles))
+
+
+@st.composite
+def dense_segments(draw, n):
+    """A single x or y, or a string of mixed axes over distinct sites."""
+    if draw(st.booleans()):
+        sites = (draw(st.integers(1, n)),)
+        axes = (draw(st.sampled_from("xy")),)
+    else:
+        sites = tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
+        axes = tuple(draw(st.sampled_from("xyz")) for _ in sites)
+    return PulseSegment(sites, axes, draw(angles))
+
+
+@st.composite
+def pulse_programs(draw):
+    """Random programs mixing runs of diagonal segments and dense segments."""
+    n = draw(st.integers(1, 4))
+    segments = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            segments.extend(draw(st.lists(diagonal_segments(n), min_size=1, max_size=4)))
+        else:
+            segments.append(draw(dense_segments(n)))
+    program = PulseProgram("random", n, tuple(segments), 1.0)
+    if draw(st.booleans()):
+        program = _adjoint_program(program, "random_dag")
+    return program
+
+
+def literal_product(program):
+    """Right-to-left product of exp(i a P), one Pauli string per segment."""
+    u = identity(2**program.n)
+    for seg in program.segments:
+        g = pauli_string(dict(zip(seg.sites, seg.axes)), program.n)
+        u = expm_pauli(g, seg.angle) @ u
+    return u
+
+
+class TestProgramMatrixReference:
+    @given(program=pulse_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_literal_product(self, program):
+        got = program_matrix(program)
+        assert np.max(np.abs(got - literal_product(program))) <= 1e-12
+
+    @given(program=pulse_programs())
+    @settings(max_examples=50, deadline=None)
+    def test_adjoint_program_is_dagger(self, program):
+        adjoint = _adjoint_program(program, "dag")
+        assert np.max(np.abs(program_matrix(adjoint) - dagger(program_matrix(program)))) <= 1e-12
+
+    def test_every_named_gate_matches_literal_product(self):
+        for name, (table, build_program, _) in GATE_REGISTRY.items():
+            program = build_program(gate_timing_table(table, CFG))
+            assert np.max(np.abs(program_matrix(program) - literal_product(program))) <= 1e-12

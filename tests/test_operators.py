@@ -148,3 +148,9 @@ class TestPauliString:
 
     def test_sigma_embedding(self):
         assert np.array_equal(embed_sigma("x", 2, 2), kron_chain(I2, pauli("x")))
+
+    def test_single_site_result_is_a_fresh_array(self):
+        out = pauli_string({1: "x"}, 1)
+        out[0, 1] = 42
+        assert np.array_equal(pauli("x"), [[0, 1], [1, 0]])
+        assert np.array_equal(pauli_string({1: "x"}, 1), [[0, 1], [1, 0]])

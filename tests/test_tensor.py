@@ -97,6 +97,52 @@ class TestKron:
         )
 
 
+# Every (left, right) factor dimension pair with a product of at most 16.
+ADMISSIBLE_PAIRS = [
+    (da, db) for da in (2, 4, 8, 16) for db in (2, 4, 8, 16) if da * db <= 16
+]
+
+
+class TestKronKernel:
+    @pytest.mark.parametrize("da,db", ADMISSIBLE_PAIRS)
+    def test_equals_numpy_kron_exactly(self, da, db):
+        rng = np.random.default_rng(da * 100 + db)
+        a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+        b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+        ints_a, ints_b = np.eye(da, dtype=int), np.arange(db * db).reshape(db, db)
+        assert np.array_equal(kron(ints_a, ints_b), np.kron(ints_a, ints_b))
+
+    @pytest.mark.parametrize("da,db", [(16, 2), (2, 16), (8, 4), (4, 8), (16, 16)])
+    def test_products_above_sixteen_rejected(self, da, db):
+        with pytest.raises(ValueError, match="exceeds"):
+            kron(identity(da), identity(db))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2), (4,), (2, 2, 2)])
+    def test_non_square_rejected_on_either_side(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            kron(np.ones(shape), identity(2))
+        with pytest.raises(ValueError, match="square"):
+            kron(identity(2), np.ones(shape))
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_inadmissible_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match="not in"):
+            kron(np.eye(dim), identity(2))
+        with pytest.raises(ValueError, match="not in"):
+            kron(identity(2), np.eye(dim))
+
+    @pytest.mark.parametrize("da,db", ADMISSIBLE_PAIRS)
+    def test_result_never_aliases_an_input(self, da, db):
+        a, b = identity(da), identity(db)
+        out = kron(a, b)
+        assert not np.shares_memory(out, a)
+        assert not np.shares_memory(out, b)
+        out[...] = 7
+        assert np.array_equal(a, identity(da))
+        assert np.array_equal(b, identity(db))
+
+
 class TestExpmPauli:
     def test_zero_angle(self):
         assert np.allclose(expm_pauli(SIGMA_X, 0.0), identity(2))
