@@ -52,6 +52,18 @@ class CommandResult:
         return _STATUS_EXIT[self.status]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit EXIT_ERROR, not argparse's 2.
+
+    Exit code 2 means an infeasible schedule; a malformed command line is
+    an error. Subparsers inherit the class, so every subcommand agrees.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key-value config file")
     parser.add_argument("--omega", type=float, help="drive frequency, rad/s")
@@ -351,7 +363,7 @@ def cmd_simulate(args) -> CommandResult:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinforge",
         description="Pulse-level synthesis and verification of spin-qubit "
         "NOT/CNOT/CCNOT/CCCNOT gates",

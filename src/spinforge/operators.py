@@ -21,12 +21,16 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 _SIGMA = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Standard 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
+def _sigma(axis: str) -> np.ndarray:
     try:
-        return _SIGMA[axis].copy()
+        return _SIGMA[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected one of {AXES}") from None
+
+
+def pauli(axis: str) -> np.ndarray:
+    """Standard 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
+    return _sigma(axis).copy()
 
 
 def spin(axis: str) -> np.ndarray:
@@ -67,14 +71,11 @@ def pauli_string(factors: dict[int, str], n: int) -> np.ndarray:
     ``factors`` maps site index (1-based) to an axis; unlisted sites get
     the identity. An empty mapping yields the full identity.
     """
-    return embed_factors({site: _SIGMA[axis] for site, axis in factors.items()}, n)
+    return embed_factors({site: _sigma(axis) for site, axis in factors.items()}, n)
 
 
 def embed_sigma(axis: str, site: int, n: int) -> np.ndarray:
     """Pauli matrix on one site, identity elsewhere."""
-    if axis not in _SIGMA:
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected one of {AXES}")
-    _check_site(site, n)
     return pauli_string({site: axis}, n)
 
 

@@ -307,3 +307,33 @@ class TestConfigPlumbing:
         monkeypatch.setenv("SPINFORGE_CONFIG", str(cfgfile))
         code, out = run_cli(capsys, "build", "cz")
         assert code == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "cz", "--natural-units", "--b-prime", "-inf"],
+            ["build", "cz", "--natural-units", "--b0", "one"],
+            ["bogus"],
+            ["simulate", "--n", "1"],
+        ],
+        ids=["negative-value-read-as-flag", "non-numeric", "unknown-command", "missing-args"],
+    )
+    def test_usage_errors_exit_error_not_infeasible(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_equals_form_reaches_the_config_check(self, capsys):
+        code, out = run_cli(capsys, "build", "cz", "--natural-units", "--b-prime=-inf")
+        assert code == 3
+        assert "b_prime must be finite" in out
+
+    @pytest.mark.parametrize("argv", [["-h"], ["build", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

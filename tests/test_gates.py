@@ -550,6 +550,16 @@ class TestProgramMatrixReference:
         adjoint = _adjoint_program(program, "dag")
         assert np.max(np.abs(program_matrix(adjoint) - dagger(program_matrix(program)))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "segment",
+        [PulseSegment((1,), ("w",), 0.3), PulseSegment((1, 2), ("z", "q"), 0.3)],
+        ids=["single", "mixed"],
+    )
+    def test_bad_axis_segment_names_the_accepted_axes(self, segment):
+        program = PulseProgram("bad", 2, (PulseSegment((1,), ("x",), 0.1), segment), 1.0)
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            program_matrix(program)
+
     def test_every_named_gate_matches_literal_product(self):
         for name, (table, build_program, _) in GATE_REGISTRY.items():
             program = build_program(gate_timing_table(table, CFG))

@@ -149,6 +149,15 @@ class TestPauliString:
     def test_sigma_embedding(self):
         assert np.array_equal(embed_sigma("x", 2, 2), kron_chain(I2, pauli("x")))
 
+    @pytest.mark.parametrize("factors", [{1: "w"}, {1: "z", 2: "X"}, {2: ""}])
+    def test_unknown_axis_names_the_accepted_axes(self, factors):
+        with pytest.raises(ValueError, match=r"unknown Pauli axis .*\('x', 'y', 'z'\)"):
+            pauli_string(factors, 2)
+
+    def test_sigma_embedding_rejects_unknown_axis(self):
+        with pytest.raises(ValueError, match="unknown Pauli axis 'w'"):
+            embed_sigma("w", 1, 2)
+
     def test_single_site_result_is_a_fresh_array(self):
         out = pauli_string({1: "x"}, 1)
         out[0, 1] = 42

@@ -1,13 +1,23 @@
 """Tests for the dynamics oracle: RK4 integration vs the closed form."""
 
+import importlib.util
 import math
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinforge.config import PhysicalConfig
 from spinforge.gates import u_phi
+from spinforge.hamiltonians import lab_hamiltonian
 from spinforge.oracle import (
+    NORM_DRIFT_LIMIT,
+    IntegrationError,
     IntegrationSettings,
     analytic_rotating,
     check_m_constancy,
@@ -93,6 +103,24 @@ class TestIntegrateLab:
         d2 = total_drift(0.05)
         assert d1 > 0 and d2 > 0
         assert d1 / d2 == pytest.approx(32, rel=0.35)
+
+    def test_drift_check_fires_at_the_first_step_past_the_limit(self):
+        # At dt * radius = 0.099 the RK4 norm loss is ~7e-9 per step, so
+        # the 1e-4 drift limit is crossed after about 15000 steps.
+        cfg = CFG_DRIVEN
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(lab_hamiltonian(cfg, 1, 0.0)))))
+        dt = 0.099 / radius
+        psi0 = basis_state(1, "0")
+        with pytest.raises(IntegrationError) as exc:
+            integrate_lab(cfg, 1, psi0, 30_000 * dt, IntegrationSettings(dt))
+        found = re.search(r"at t=(\S+) \(step (\d+), dt=(\S+)\);", str(exc.value))
+        assert found, str(exc.value)
+        t, step, dt_used = float(found[1]), int(found[2]), float(found[3])
+        assert 10_000 < step < 30_000
+        assert t == step * dt_used
+        settings_ = IntegrationSettings(dt_used)
+        out = integrate_lab(cfg, 1, psi0, (step - 1) * dt_used, settings_)
+        assert abs(np.linalg.norm(out) - 1.0) <= NORM_DRIFT_LIMIT
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -261,3 +289,142 @@ class TestTrajectory:
     def test_rabi_period_requires_drive(self):
         with pytest.raises(ValueError, match="b1"):
             rabi_period(PhysicalConfig.natural_units())
+
+
+# ---------------------------------------------------------------------------
+# The step-map loop against a textbook stage-form RK4
+# ---------------------------------------------------------------------------
+
+# Step counts on both sides of the oracle's 64-step chunk edges.
+CHUNK_EDGE_STEPS = (1, 63, 64, 65, 129)
+
+
+def stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every=0):
+    """Classical RK4 on the state, H rebuilt at t, t + dt/2 and t + dt.
+
+    Returns (times, states) including the initial state, like
+    integrate_lab_trajectory.
+    """
+    dt = t_final / steps
+    psi = psi0.astype(complex)
+    times, states = [0.0], [psi.copy()]
+    t = 0.0
+    for step in range(1, steps + 1):
+        h_start = lab_hamiltonian(cfg, n, t)
+        h_mid = lab_hamiltonian(cfg, n, t + dt / 2)
+        h_end = lab_hamiltonian(cfg, n, t + dt)
+        k1 = -1j * (h_start @ psi)
+        k2 = -1j * (h_mid @ (psi + (dt / 2) * k1))
+        k3 = -1j * (h_mid @ (psi + (dt / 2) * k2))
+        k4 = -1j * (h_end @ (psi + dt * k3))
+        psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = step * dt
+        if renormalize_every and step % renormalize_every == 0:
+            psi = psi / np.linalg.norm(psi)
+        times.append(t)
+        states.append(psi.copy())
+    return np.array(times), np.array(states)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A resonant or detuned weak-drive config, a random state and a step size.
+
+    dt stays under 0.02 so dt * spectral radius is below the oracle's 0.1
+    stability limit for every drawn config at n <= 4.
+    """
+    n = draw(st.integers(1, 4))
+    b0 = draw(st.floats(0.5, 1.5))
+    detuning = draw(st.sampled_from([1.0, 1.0, 0.8, 1.25]))
+    cfg = PhysicalConfig(
+        gamma=1.0,
+        b0=b0,
+        b1=b0 * draw(st.floats(0.01, 0.1)),
+        omega=b0 * detuning,
+        j_coupling=draw(st.floats(0.0, 0.5)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    steps = draw(st.sampled_from(CHUNK_EDGE_STEPS))
+    dt = draw(st.floats(0.002, 0.02))
+    return cfg, n, amps / np.linalg.norm(amps), steps * dt, steps
+
+
+class TestStepMapReference:
+    @given(case=oracle_cases(), renormalize_every=st.sampled_from([0, 0, 1, 7, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_integrate_lab_matches_stage_form(self, case, renormalize_every):
+        cfg, n, psi0, t_final, steps = case
+        settings_ = IntegrationSettings(t_final / steps, renormalize_every)
+        got = integrate_lab(cfg, n, psi0, t_final, settings_)
+        _, ref = stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every)
+        assert np.max(np.abs(got - ref[-1])) <= 1e-12
+
+    @given(case=oracle_cases(), renormalize_every=st.sampled_from([0, 5]))
+    @settings(max_examples=15, deadline=None)
+    def test_trajectory_matches_stage_form_step_for_step(self, case, renormalize_every):
+        cfg, n, psi0, t_final, steps = case
+        settings_ = IntegrationSettings(t_final / steps, renormalize_every)
+        times, states = integrate_lab_trajectory(cfg, n, psi0, t_final, settings_)
+        ref_times, ref_states = stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every)
+        assert np.array_equal(times, ref_times)
+        assert states.shape == ref_states.shape
+        assert np.max(np.abs(states - ref_states)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_propagator_columns_are_basis_state_integrations(self, n):
+        cfg = PhysicalConfig.natural_units(b1=0.06, omega=0.9, j_coupling=0.3)
+        t_final = 65 * 0.01
+        settings_ = IntegrationSettings(0.01)
+        u = lab_propagator(cfg, n, t_final, settings_)
+        for col in range(2**n):
+            psi = integrate_lab(cfg, n, basis_state(n, format(col, f"0{n}b")), t_final, settings_)
+            assert np.array_equal(u[:, col], psi)
+
+    def test_fourth_order_at_three_qubits_with_exchange(self):
+        cfg = PhysicalConfig.natural_units(b1=0.08, j_coupling=0.4)
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        devs = convergence_study(cfg, 3, amps / np.linalg.norm(amps), 20.0, 0.04, halvings=2)
+        for coarse, fine in zip(devs, devs[1:]):
+            assert coarse / fine == pytest.approx(16, rel=0.05)
+
+
+CONVERGENCE_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+
+
+@pytest.fixture
+def convergence_script():
+    spec = importlib.util.spec_from_file_location("convergence_script", CONVERGENCE_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestConvergenceScript:
+    def test_exits_zero_at_fourth_order(self):
+        done = subprocess.run(
+            [sys.executable, str(CONVERGENCE_SCRIPT)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "observed order: 4.00" in done.stdout
+
+    def test_exits_one_off_fourth_order(self, convergence_script, monkeypatch, capsys):
+        # A third-order stepper: the deviation falls 8x per halving.
+        monkeypatch.setattr(
+            convergence_script, "convergence_study",
+            lambda *args, halvings, **kwargs: [8.0**-k for k in range(halvings + 1)],
+        )
+        monkeypatch.setattr(sys, "argv", ["convergence_study.py", "--halvings", "2"])
+        assert convergence_script.main() == 1
+        assert "outside 4 +/- 0.2" in capsys.readouterr().err
+
+    def test_needs_at_least_one_halving(self, convergence_script, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["convergence_study.py", "--halvings", "0"])
+        with pytest.raises(SystemExit) as exc:
+            convergence_script.main()
+        assert exc.value.code == 2
+        assert "--halvings must be at least 1" in capsys.readouterr().err
