@@ -7,6 +7,7 @@ mirror where one exists. Exit code 0 means every invoked check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -333,10 +334,10 @@ def cmd_simulate(args) -> CommandResult:
     except ValueError as exc:
         return CommandResult("error", {"message": str(exc)}, str(exc))
     dt = args.dt if args.dt is not None else args.t_final / 10_000
-    if args.t_final > 0:
-        settings = oracle.IntegrationSettings(dt=dt)
+    if args.dt is not None and args.t_final > 0:
+        settings = oracle.IntegrationSettings(dt=args.dt)
     else:
-        settings = None
+        settings = None  # the oracle's default step, t_final / 10_000
     try:
         if args.trajectory:
             times, states = oracle.integrate_lab_trajectory(
@@ -362,7 +363,9 @@ def cmd_simulate(args) -> CommandResult:
     return CommandResult("ok", payload, summary)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it."""
     parser = _Parser(
         prog="spinforge",
         description="Pulse-level synthesis and verification of spin-qubit "
@@ -406,8 +409,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     handlers = {
         "build": cmd_build,
         "schedule": cmd_schedule,

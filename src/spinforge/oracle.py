@@ -11,6 +11,7 @@ layer is validated against both.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,13 @@ from .tensor import basis_state, identity, require_normalized
 
 STABILITY_LIMIT = 0.1       # dt * spectral radius of H must stay below this
 NORM_DRIFT_LIMIT = 1e-4     # pre-renormalization drift that counts as unstable
+MAX_STEPS = 10**9           # largest step count one integration accepts
 _CHUNK_STEPS = 64           # RK4 step maps built per batch of generators
+_SHARED_WINDOW_BYTES = 64 << 20  # largest window lab_propagator keeps for its columns
+
+# Windows shared by the columns of one lab_propagator call, keyed by
+# (cfg, n, n_steps, dt); None outside such a call.
+_shared_windows: ContextVar[dict | None] = ContextVar("_shared_windows", default=None)
 
 
 class IntegrationError(RuntimeError):
@@ -42,6 +49,8 @@ class IntegrationSettings:
     renormalize_every: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.renormalize_every < 0:
@@ -80,8 +89,66 @@ def _step_maps(g0, ga, gb, omega, t0, dt, count):
     return np.eye(g0.shape[0]) + (dt / 6) * (a1 + 2 * m1 + 2 * m2 + m3)
 
 
+def _prefix_products(p):
+    """Turn step maps R_1, R_2, ... into P_j = R_j ... R_1, in place.
+
+    Blocks of 8 steps take their prefixes side by side, then each block
+    takes the product of the blocks before it: 14 batched products instead
+    of one Python-level product per step.
+    """
+    full = len(p) - len(p) % 8
+    blocks = p[:full].reshape(-1, 8, *p.shape[1:])
+    for j in range(1, 8):
+        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+    for i in range(1, len(blocks)):
+        blocks[i] = blocks[i] @ blocks[i - 1, -1]
+    for j in range(max(full, 1), len(p)):
+        p[j] = p[j] @ p[j - 1]
+    return p
+
+
+def _chunk_propagators(g0, ga, gb, omega, dt, n_steps):
+    """Per chunk of steps, the prefix products P_j = R_j ... R_1 of its step maps.
+
+    P_j advances the state at the chunk's start by j steps. Each chunk is
+    yielded as its P_j stacked row-wise, so all the chunk's states come
+    from one matrix-vector product.
+    """
+    dim = g0.shape[0]
+    for start in range(0, n_steps, _CHUNK_STEPS):
+        count = min(_CHUNK_STEPS, n_steps - start)
+        p = _prefix_products(_step_maps(g0, ga, gb, omega, start * dt, dt, count))
+        yield p.reshape(count * dim, dim)
+
+
+def _window(cfg, n, n_steps, dt):
+    """The chunk propagators of a window, after the stability check.
+
+    Inside lab_propagator the first column builds the whole window and the
+    other columns reuse it; elsewhere the chunks are built one at a time.
+    """
+    shared = _shared_windows.get()
+    key = (cfg, n, n_steps, dt)
+    if shared is not None and key in shared:
+        return shared[key]
+    h0, a, b = _drive_parts(cfg, n)
+    radius = _spectral_radius(h0 + a)  # H(0): cos 0 = 1, sin 0 = 0
+    if dt * radius > STABILITY_LIMIT:
+        raise ValueError(
+            f"dt * spectral_radius = {dt * radius:.3g} exceeds the "
+            f"stability heuristic {STABILITY_LIMIT}; shrink dt"
+        )
+    chunks = _chunk_propagators(-1j * h0, -1j * a, -1j * b, cfg.omega, dt, n_steps)
+    if shared is None or n_steps * 16 * 4**n > _SHARED_WINDOW_BYTES:
+        return chunks
+    shared[key] = list(chunks)
+    return shared[key]
+
+
 def _integrate(cfg, n, psi0, t_final, settings, record=None):
     psi = require_normalized(psi0).astype(complex)
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     if record is not None:
@@ -90,35 +157,44 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
         return psi
     if settings is None:
         settings = IntegrationSettings(dt=t_final / 10_000)
-
-    h0, a, b = _drive_parts(cfg, n)
-    radius = _spectral_radius(h0 + a)  # H(0): cos 0 = 1, sin 0 = 0
-    n_steps = max(1, math.ceil(t_final / settings.dt - 1e-12))
-    dt = t_final / n_steps
-    if dt * radius > STABILITY_LIMIT:
+    ratio = t_final / settings.dt
+    if not ratio <= MAX_STEPS:
         raise ValueError(
-            f"dt * spectral_radius = {dt * radius:.3g} exceeds the "
-            f"stability heuristic {STABILITY_LIMIT}; shrink dt"
+            f"t_final / dt = {ratio:.3g} steps exceeds the step limit {MAX_STEPS}"
         )
+    n_steps = max(1, math.ceil(ratio - 1e-12))
+    dt = t_final / n_steps
 
-    g0, ga, gb = -1j * h0, -1j * a, -1j * b
+    every = settings.renormalize_every
     step = 0
-    while step < n_steps:
-        count = min(_CHUNK_STEPS, n_steps - step)
-        for r in _step_maps(g0, ga, gb, cfg.omega, step * dt, dt, count):
-            psi = r @ psi
-            step += 1
-            t = step * dt
-            norm = math.sqrt(np.vdot(psi, psi).real)
-            if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
-                raise IntegrationError(
-                    f"norm drift {abs(norm - 1.0):.3e} at t={t!r} (step {step}, "
-                    f"dt={dt!r}); the step size is unstable"
-                )
-            if settings.renormalize_every and step % settings.renormalize_every == 0:
-                psi = psi / norm
-            if record is not None:
-                record.append((t, psi.copy()))
+    for stacked in _window(cfg, n, n_steps, dt):
+        raw = (stacked @ psi).reshape(-1, len(psi))
+        count = len(raw)
+        pairs = raw.view(float)  # re, im side by side
+        norms = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+        # The state after step j is raw_j over the norm of the last step up
+        # to j that renormalized (1 if none did); its drift is measured
+        # before its own renormalization.
+        divisors = np.ones(count)
+        if every:
+            latest = np.zeros(count, dtype=int)  # 1 + index of that step, 0 for none
+            first = -(step + 1) % every
+            latest[first::every] = np.arange(first + 1, count + 1, every)
+            np.maximum.accumulate(latest, out=latest)
+            divisors = np.concatenate(([1.0], norms))[latest]
+        drift = np.abs(norms / np.concatenate(([1.0], divisors[:-1])) - 1.0)
+        if drift.max() > NORM_DRIFT_LIMIT:
+            first_bad = int(np.argmax(drift > NORM_DRIFT_LIMIT))
+            at = step + 1 + first_bad
+            raise IntegrationError(
+                f"norm drift {drift[first_bad]:.3e} at t={at * dt!r} (step {at}, "
+                f"dt={dt!r}); the step size is unstable"
+            )
+        if record is not None:
+            states = raw / divisors[:, None]
+            record.extend(((step + 1 + j) * dt, state) for j, state in enumerate(states))
+        psi = raw[-1] / divisors[-1]
+        step += count
     return psi
 
 
@@ -258,12 +334,20 @@ def lab_propagator(
     duration: float,
     settings: IntegrationSettings | None = None,
 ) -> np.ndarray:
-    """Lab-frame propagator over a window, column by column from basis states."""
+    """Lab-frame propagator over a window, column by column from basis states.
+
+    The columns share one set of chunk propagators, built by the first
+    column and freed when this returns.
+    """
     dim = 2**n
     u = identity(dim)
-    for col in range(dim):
-        bits = format(col, f"0{n}b")
-        u[:, col] = integrate_lab(cfg, n, basis_state(n, bits), duration, settings)
+    token = _shared_windows.set({})
+    try:
+        for col in range(dim):
+            bits = format(col, f"0{n}b")
+            u[:, col] = integrate_lab(cfg, n, basis_state(n, bits), duration, settings)
+    finally:
+        _shared_windows.reset(token)
     return u
 
 

@@ -1,11 +1,16 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinforge import cli
 from spinforge.cli import main
 from spinforge.tensor import matrix_from_json
 
@@ -337,3 +342,93 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.make_parser() is cli.make_parser()
+
+    def test_calls_do_not_leak_values(self, capsys):
+        code, out = run_cli(
+            capsys, "schedule", "cz", "--natural-units", "--j=2.0", "--b-prime=0.5",
+            "--mode", "shared-constants", "--csv", "--json",
+        )
+        assert code == 0
+        assert payload_from(out)["payload"]["mode"] == "shared-constants"
+        code, out = run_cli(capsys, "schedule", "cz", "--natural-units")
+        assert code == 0
+        assert "{" not in out
+        assert "(derive-constants)" in out
+        assert "gate,segment" not in out  # no --csv carried over
+        code, out = run_cli(capsys, "build", "not", "--natural-units", "--json")
+        assert code == 0
+        assert payload_from(out)["payload"]["gate"] == "not"
+
+
+class TestSimulateBadNumbers:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t-final", "nan"], "t_final must be finite, got nan"),
+            (["--t-final", "inf"], "t_final must be finite, got inf"),
+            (["--t-final", "1", "--dt", "nan"], "dt must be finite, got nan"),
+            (["--t-final", "1", "--dt", "inf"], "dt must be finite, got inf"),
+            (["--t-final", "1e300", "--dt", "1e-300"], "t_final / dt = inf steps"),
+        ],
+    )
+    def test_named_error_exit_3(self, capsys, flags, message):
+        argv = ["simulate", "--n", "1", "--psi0", "0", *flags, "--natural-units", "--json"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        assert message in payload_from(out)["payload"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# Random command lines: every run ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-0", "-1", "1e300", "-1e300", "1e-300", "0.5", "2", "abc", ""]
+GATE_NAMES = [
+    "not", "cz", "cnot", "ccnot", "cccnot", "hadamard_like", "cx_half:2,3", "cnot:1,2@3",
+    "cx_quarter:1,4", "cx_half:2,2", "cx_half:2,3@9", "cx_half:", "cnot:a,b", "bogus", "", "all",
+]
+CONFIG_FLAGS = ["--omega", "--b0", "--b1", "--j", "--b-prime", "--gamma"]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["build", "schedule", "verify", "simulate", "bogus"]))
+    argv = [command]
+    if command in ("build", "schedule", "verify"):
+        argv.append(draw(st.sampled_from(GATE_NAMES)))
+    if command == "schedule":
+        argv += draw(st.sampled_from([[], ["--mode", "shared-constants"], ["--mode", "x"]]))
+        argv += draw(st.sampled_from([[], ["--csv"]]))
+        argv += draw(st.sampled_from([[], ["--search-bound", "0"], ["--search-bound", "3"], ["--search-bound", "x"]]))
+    if command == "simulate":
+        # t_final and dt stay small or non-finite: no run takes more than a
+        # few thousand steps.
+        argv.append(f"--n={draw(st.sampled_from(['1', '1', '2', '0', '5', 'x']))}")
+        argv.append(f"--psi0={draw(st.sampled_from(['0', '1', '01', '2', '']))}")
+        t_final = draw(st.sampled_from(["0", "0.5", "3", "-1", "nan", "inf", "-inf", "1e300", "x"]))
+        argv.append(f"--t-final={t_final}")
+        dt = draw(st.sampled_from([None, "0.01", "0.1", "0", "-0.1", "nan", "inf", "-inf", "1e-300"]))
+        if dt is not None:
+            argv.append(f"--dt={dt}")
+    for flag in draw(st.lists(st.sampled_from(CONFIG_FLAGS), max_size=2, unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(EDGE_NUMBERS))}")
+    argv += draw(st.sampled_from([["--natural-units"], ["--natural-units"], []]))
+    argv += draw(st.sampled_from([[], ["--json"]]))
+    return argv
+
+
+@given(argv=command_lines())
+@settings(max_examples=60, deadline=None)
+def test_random_command_lines_end_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())

@@ -1,17 +1,21 @@
 """Tests for the dynamics oracle: RK4 integration vs the closed form."""
 
+import gc
 import importlib.util
 import math
 import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinforge import oracle
 from spinforge.config import PhysicalConfig
 from spinforge.gates import u_phi
 from spinforge.hamiltonians import lab_hamiltonian
@@ -428,3 +432,128 @@ class TestConvergenceScript:
             convergence_script.main()
         assert exc.value.code == 2
         assert "--halvings must be at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Chunk propagators shared by the columns of one lab_propagator call
+# ---------------------------------------------------------------------------
+
+CFG_COUPLED = PhysicalConfig.natural_units(b1=0.06, omega=0.9, j_coupling=0.3)
+
+
+def drift_dt():
+    """A step at dt * radius = 0.099: the 1e-4 drift limit falls near step 15000."""
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(lab_hamiltonian(CFG_DRIVEN, 1, 0.0)))))
+    return 0.099 / radius
+
+
+def first_step_past_the_drift_limit(cfg, n, psi0, steps, dt):
+    """The failing step of a plain loop: one step map, one norm per step."""
+    h0, a, b = oracle._drive_parts(cfg, n)
+    psi = psi0.astype(complex)
+    step = 0
+    while step < steps:
+        count = min(64, steps - step)
+        for r in oracle._step_maps(-1j * h0, -1j * a, -1j * b, cfg.omega, step * dt, dt, count):
+            psi = r @ psi
+            step += 1
+            if abs(np.linalg.norm(psi) - 1.0) > NORM_DRIFT_LIMIT:
+                return step
+    return None
+
+
+class TestSharedWindows:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_maps_built_once_per_chunk_per_window(self, n, monkeypatch):
+        calls = {"step_maps": 0, "integrate_lab": 0}
+        step_maps, integrate = oracle._step_maps, oracle.integrate_lab
+
+        def counted_step_maps(*args):
+            calls["step_maps"] += 1
+            return step_maps(*args)
+
+        def counted_integrate(*args):
+            calls["integrate_lab"] += 1
+            return integrate(*args)
+
+        monkeypatch.setattr(oracle, "_step_maps", counted_step_maps)
+        monkeypatch.setattr(oracle, "integrate_lab", counted_integrate)
+        lab_propagator(CFG_COUPLED, n, 130 * 0.01, IntegrationSettings(0.01))
+        assert calls == {"step_maps": 3, "integrate_lab": 2**n}  # 64 + 64 + 2 steps
+
+    def test_standalone_integration_holds_one_chunk(self):
+        # The whole 4-qubit window of 10 000 steps would be 41 MiB.
+        psi0 = basis_state(4, "0101")
+        settings_ = IntegrationSettings(0.01)
+        tracemalloc.start()
+        try:
+            integrate_lab(CFG_COUPLED, 4, psi0, 10_000 * 0.01, settings_)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("fail_at_column", [None, 2])
+    def test_no_window_kept_after_the_call(self, fail_at_column, monkeypatch):
+        built, columns = [], []
+        step_maps, integrate = oracle._step_maps, oracle.integrate_lab
+
+        def tracked_step_maps(*args):
+            maps = step_maps(*args)
+            built.append(weakref.ref(maps))
+            return maps
+
+        def failing_integrate(*args):
+            if len(columns) == fail_at_column:
+                raise RuntimeError("column failed")
+            columns.append(integrate(*args))
+            return columns[-1]
+
+        monkeypatch.setattr(oracle, "_step_maps", tracked_step_maps)
+        monkeypatch.setattr(oracle, "integrate_lab", failing_integrate)
+        if fail_at_column is None:
+            lab_propagator(CFG_COUPLED, 2, 130 * 0.01, IntegrationSettings(0.01))
+        else:
+            with pytest.raises(RuntimeError, match="column failed"):
+                lab_propagator(CFG_COUPLED, 2, 130 * 0.01, IntegrationSettings(0.01))
+        assert len(built) == 3
+        assert oracle._shared_windows.get() is None
+        gc.collect()
+        assert all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("renormalize_every", [0, 20_000, "at the failing step"])
+    def test_drift_error_names_a_first_step_inside_a_chunk(self, renormalize_every):
+        # The drift of a renormalizing step is measured before it renormalizes.
+        dt = drift_dt()
+        psi0 = basis_state(1, "0")
+        expected = first_step_past_the_drift_limit(CFG_DRIVEN, 1, psi0, 30_000, dt)
+        assert expected is not None and 8 <= expected % 64 <= 56
+        if renormalize_every == "at the failing step":
+            renormalize_every = expected
+        settings_ = IntegrationSettings(dt, renormalize_every)
+        with pytest.raises(IntegrationError, match=rf"\(step {expected}, ") as exc:
+            integrate_lab(CFG_DRIVEN, 1, psi0, 30_000 * dt, settings_)
+        assert f"at t={expected * dt!r} " in str(exc.value)
+        with pytest.raises(IntegrationError, match=rf"\(step {expected}, "):
+            lab_propagator(CFG_DRIVEN, 1, 30_000 * dt, settings_)
+
+
+class TestBadInputsNamed:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            IntegrationSettings(dt)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("settings_", [None, IntegrationSettings(0.01)])
+    def test_non_finite_t_final(self, t_final, settings_):
+        psi0 = basis_state(1, "0")
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            integrate_lab(CFG_DRIVEN, 1, psi0, t_final, settings_)
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            integrate_lab_trajectory(CFG_DRIVEN, 1, psi0, t_final, settings_)
+
+    @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1.0, 1e-300), (1e300, 0.01)])
+    def test_step_count_overflow(self, t_final, dt):
+        with pytest.raises(ValueError, match=r"t_final / dt = .* step limit"):
+            integrate_lab(CFG_DRIVEN, 1, basis_state(1, "0"), t_final, IntegrationSettings(dt))

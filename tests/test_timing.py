@@ -1,13 +1,20 @@
 """Tests for the congruence solver and gate timing tables."""
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from spinforge.cli import main
 from spinforge.config import PhysicalConfig
 from spinforge.timing import (
+    RATIO_MAX_DEN,
+    RATIO_TOL,
     ConstraintKind,
     EmptyConstraintsError,
     IncommensurateError,
@@ -15,6 +22,7 @@ from spinforge.timing import (
     TimingConstraint,
     gate_timing_table,
     invert_for_constants,
+    _rationalize,
     solve_timing,
 )
 
@@ -379,3 +387,96 @@ class TestWitnessBookkeeping:
         w = TimingWitness(c, 1)
         assert w.phase_over_pi == Fraction(15, 8)
         assert w.knob_phase_over_pi == Fraction(15, 2)
+
+
+# ---------------------------------------------------------------------------
+# Rationalization at the RATIO_MAX_DEN / RATIO_TOL edge
+# ---------------------------------------------------------------------------
+
+EDGE_DENOMINATORS = st.one_of(st.integers(1, 50), st.integers(RATIO_MAX_DEN - 50, RATIO_MAX_DEN))
+PAST_THE_LIMIT = st.one_of(
+    st.integers(RATIO_MAX_DEN + 1, RATIO_MAX_DEN + 50),
+    st.integers(RATIO_MAX_DEN + 1, 100 * RATIO_MAX_DEN),
+)
+# Square roots of non-squares: far (> 5e-10) from every fraction with a
+# denominator up to RATIO_MAX_DEN, since their continued fractions have
+# small partial quotients.
+IRRATIONALS = [math.sqrt(k) for k in range(2, 100) if math.isqrt(k) ** 2 != k]
+
+
+@st.composite
+def ratios(draw, denominators=EDGE_DENOMINATORS):
+    """A reduced fraction p/q in [1, 10].
+
+    Two fractions with denominators up to RATIO_MAX_DEN lie at least
+    1/RATIO_MAX_DEN**2 = 1e-8 apart, so a float within a few 1e-9 of p/q
+    is far from every other candidate.
+    """
+    q = draw(denominators)
+    p = draw(st.integers(q, 10 * q))
+    assume(math.gcd(p, q) == 1)
+    return Fraction(p, q)
+
+
+@st.composite
+def near_rationals(draw):
+    """p/q moved by 10 to 400 times RATIO_TOL (relative): not rational."""
+    r = draw(ratios())
+    offset = draw(st.floats(10 * RATIO_TOL, 4e-10)) * draw(st.sampled_from([-1, 1]))
+    return float(r) * (1 + offset)
+
+
+def shared_constants_schedule(j):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "schedule", "cz", "--natural-units", f"--j={j!r}", "--b-prime=0.5",
+            "--mode", "shared-constants", "--json",
+        ])
+    return code, out.getvalue()
+
+
+class TestRationalizeBoundary:
+    @given(r=ratios())
+    def test_rational_ratios_are_recovered(self, r):
+        assert _rationalize(float(r)) == r
+
+    @given(r=ratios(), shift=st.floats(-0.5, 0.5))
+    def test_ratios_within_the_tolerance_are_recovered(self, r, shift):
+        assert _rationalize(float(r) * (1 + shift * RATIO_TOL)) == r
+
+    @given(x=near_rationals())
+    def test_near_rational_ratios_are_rejected(self, x):
+        assert _rationalize(x) is None
+
+    @given(r=ratios(PAST_THE_LIMIT))
+    def test_denominators_past_the_limit_are_rejected(self, r):
+        assert _rationalize(float(r)) is None
+
+    @pytest.mark.parametrize("x", IRRATIONALS[::7])
+    def test_irrational_ratios_are_rejected(self, x):
+        assert _rationalize(x) is None
+
+    @given(r=ratios(), scale=st.floats(0.5, 2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_rational_knob_ratios_solve(self, r, scale):
+        # omega*t = 2k*pi and J*t = 2m*pi with J/omega = p/q first meet at
+        # k = q, m = p: the solver must find exactly that witness pair.
+        ref = constraint(ConstraintKind.ZEEMAN, 1, 0, coefficient=scale, text="omega")
+        other = constraint(ConstraintKind.EXCHANGE, 1, 0, coefficient=scale * float(r), text="J")
+        sol = solve_timing([ref, other], search_bound=r.numerator)
+        assert sol.duration == pytest.approx(2 * r.denominator * PI / scale, rel=1e-12)
+        assert sol.witness_for(ConstraintKind.ZEEMAN).k == r.denominator
+        assert sol.witness_for(ConstraintKind.EXCHANGE).k == r.numerator
+
+    @given(j=st.one_of(near_rationals(), st.sampled_from(IRRATIONALS)))
+    @settings(max_examples=30, deadline=None)
+    def test_non_rational_knob_ratios_are_infeasible_and_named(self, j):
+        cfg = PhysicalConfig.natural_units(j_coupling=j, b_prime=0.5)
+        with pytest.raises(ScheduleInfeasibleError, match=r"J\*t = \(2p\+1\)\*pi") as exc:
+            gate_timing_table("cz", cfg, mode="shared-constants")
+        assert "not rational" in str(exc.value)
+        code, out = shared_constants_schedule(j)
+        assert code == 2
+        message = json.loads(out[out.index("{"):])["payload"]["message"]
+        assert message == str(exc.value)
