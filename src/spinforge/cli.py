@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -154,6 +155,23 @@ def cmd_schedule(args) -> CommandResult:
     return CommandResult("ok", payload, summary)
 
 
+def _verify_oracle_window(name, n, build, checks):
+    """Integrate window t1 in the lab frame and compare it with u_phi.
+
+    u_phi carries the reference-offset phase exp(-i B' t), which the lab
+    Hamiltonian does not, so the integrated window takes it on first.
+    """
+    sched = build.schedule
+    window_cfg = sched.window_config("t1")
+    duration = sched.solutions["t1"].duration
+    settings = oracle.IntegrationSettings(dt=duration / 20_000)
+    u_lab = oracle.lab_propagator(window_cfg, n, duration, settings)
+    u_gate = gates.u_phi(n, sched.solutions["t1"], window_cfg)
+    phased = np.exp(-1j * window_cfg.b_prime * duration) * u_lab
+    dev = float(np.max(np.abs(phased - u_gate)))
+    checks.append(_check(name, dev <= ORACLE_TOL, f"max_dev={dev:.2e}"))
+
+
 def _verify_not(cfg, checks, use_oracle):
     build = gates.build_gate("not", cfg)
     target = -1j * pauli("x")
@@ -171,19 +189,8 @@ def _verify_not(cfg, checks, use_oracle):
         )
     )
     if use_oracle:
-        sched = build.schedule
-        window_cfg = sched.window_config("t1")
-        duration = sched.solutions["t1"].duration
-        settings = oracle.IntegrationSettings(dt=duration / 20_000)
-        u_lab = oracle.lab_propagator(window_cfg, 1, duration, settings)
-        gate_window = gates.u_phi(1, sched.solutions["t1"], window_cfg)
-        dev = float(np.max(np.abs(u_lab - gate_window)))
-        checks.append(
-            _check(
-                "not: lab-frame integration reproduces the drive window",
-                dev <= ORACLE_TOL,
-                f"max_dev={dev:.2e}",
-            )
+        _verify_oracle_window(
+            "not: lab-frame integration reproduces the drive window", 1, build, checks
         )
 
 
@@ -198,21 +205,12 @@ def _verify_diagonal_window(gate, cfg, checks, use_oracle):
         )
     )
     if use_oracle:
-        sched = build.schedule
-        window_cfg = sched.window_config("t1")
-        duration = sched.solutions["t1"].duration
-        settings = oracle.IntegrationSettings(dt=duration / 20_000)
-        u_lab = oracle.lab_propagator(window_cfg, 2, duration, settings)
-        u_gate = gates.u_phi(2, sched.solutions["t1"], window_cfg)
-        phased = np.exp(-1j * window_cfg.b_prime * duration) * u_lab
-        dev = float(np.max(np.abs(phased - u_gate)))
-        checks.append(
-            _check(
-                f"{gate}: lab-frame window matches the evolution operator "
-                "(offset phase applied)",
-                dev <= ORACLE_TOL,
-                f"max_dev={dev:.2e}",
-            )
+        _verify_oracle_window(
+            f"{gate}: lab-frame window matches the evolution operator "
+            "(offset phase applied)",
+            2,
+            build,
+            checks,
         )
 
 
@@ -300,6 +298,7 @@ def cmd_verify(args) -> CommandResult:
             f"unknown scope {args.scope!r}",
         )
     checks: list[dict] = []
+    payload: dict = {"scope": scope}
     try:
         if scope in ("not", "all"):
             _verify_not(cfg, checks, args.oracle)
@@ -312,7 +311,8 @@ def cmd_verify(args) -> CommandResult:
         if scope in ("cccnot", "all"):
             _verify_composed("cccnot", 4, cfg, checks)
         if scope in ("ccnot", "cccnot", "all"):
-            _verify_audit(cfg, checks)
+            reports = _verify_audit(cfg, checks)
+            payload["components"] = [r.to_json_dict() for r in reports]
         if scope == "all" or args.oracle:
             _verify_oracle_basics(cfg, checks)
     except ScheduleInfeasibleError as exc:
@@ -320,7 +320,7 @@ def cmd_verify(args) -> CommandResult:
 
     all_passed = all(c["passed"] for c in checks)
     status = "ok" if all_passed else "verification_failed"
-    payload = {"scope": scope, "checks": checks, "all_passed": all_passed}
+    payload.update(checks=checks, all_passed=all_passed)
     summary = _summary_lines(checks)
     summary += f"\n{'all checks passed' if all_passed else 'SOME CHECKS FAILED'}"
     return CommandResult(status, payload, summary)
@@ -420,11 +420,31 @@ def main(argv=None) -> int:
         result = handlers[args.command](args)
     except (ValueError, OSError) as exc:
         result = CommandResult("error", {"message": str(exc)}, f"error: {exc}")
-    print(result.human_summary)
-    if args.json:
-        document = {"status": result.status, "payload": result.payload}
-        print(json.dumps(document, indent=2, sort_keys=True))
+    try:
+        print(result.human_summary)
+        if args.json:
+            document = {"status": result.status, "payload": result.payload}
+            print(json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
     return result.exit_code
+
+
+def _discard_stdout() -> None:
+    """Send what stdout still buffers to devnull once its reader has gone.
+
+    A reader such as ``head -1`` may close the pipe before the output ends.
+    Without this the flush at interpreter exit raises again and prints
+    "Exception ignored"; the command's exit code stands either way.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind stdout, so nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .operators import spin, total_spin
 from .tensor import basis_state, identity, require_normalized
 
 STABILITY_LIMIT = 0.1       # dt * spectral radius of H must stay below this
-NORM_DRIFT_LIMIT = 1e-4     # pre-renormalization drift that counts as unstable
+NORM_DRIFT_LIMIT = 1e-4     # norm drift that counts as unstable
 MAX_STEPS = 10**9           # largest step count one integration accepts
 _CHUNK_STEPS = 64           # RK4 step maps built per batch of generators
 _SHARED_WINDOW_BYTES = 64 << 20  # largest window lab_propagator keeps for its columns
@@ -40,21 +40,17 @@ class IntegrationError(RuntimeError):
 class IntegrationSettings:
     """Fixed-step RK4 controls.
 
-    ``renormalize_every`` = 0 disables renormalization; the natural RK4
-    norm drift is O(dt^5) per step and stays far below tolerance at sane
-    step sizes.
+    States are never renormalized: the natural RK4 norm drift is O(dt^5)
+    per step and stays far below tolerance at sane step sizes.
     """
 
     dt: float
-    renormalize_every: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.dt):
             raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.renormalize_every < 0:
-            raise ValueError("renormalize_every must be >= 0")
 
 
 def _drive_parts(cfg: PhysicalConfig, n: int):
@@ -165,24 +161,11 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
     n_steps = max(1, math.ceil(ratio - 1e-12))
     dt = t_final / n_steps
 
-    every = settings.renormalize_every
     step = 0
     for stacked in _window(cfg, n, n_steps, dt):
         raw = (stacked @ psi).reshape(-1, len(psi))
-        count = len(raw)
         pairs = raw.view(float)  # re, im side by side
-        norms = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
-        # The state after step j is raw_j over the norm of the last step up
-        # to j that renormalized (1 if none did); its drift is measured
-        # before its own renormalization.
-        divisors = np.ones(count)
-        if every:
-            latest = np.zeros(count, dtype=int)  # 1 + index of that step, 0 for none
-            first = -(step + 1) % every
-            latest[first::every] = np.arange(first + 1, count + 1, every)
-            np.maximum.accumulate(latest, out=latest)
-            divisors = np.concatenate(([1.0], norms))[latest]
-        drift = np.abs(norms / np.concatenate(([1.0], divisors[:-1])) - 1.0)
+        drift = np.abs(np.sqrt(np.einsum("ij,ij->i", pairs, pairs)) - 1.0)
         if drift.max() > NORM_DRIFT_LIMIT:
             first_bad = int(np.argmax(drift > NORM_DRIFT_LIMIT))
             at = step + 1 + first_bad
@@ -191,10 +174,9 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
                 f"dt={dt!r}); the step size is unstable"
             )
         if record is not None:
-            states = raw / divisors[:, None]
-            record.extend(((step + 1 + j) * dt, state) for j, state in enumerate(states))
-        psi = raw[-1] / divisors[-1]
-        step += count
+            record.extend(((step + 1 + j) * dt, state) for j, state in enumerate(raw))
+        psi = raw[-1]
+        step += len(raw)
     return psi
 
 

@@ -65,10 +65,6 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(u) <= tol
-
-
 def require_unitary(u, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
     u = as_matrix(u)
     defect = unitarity_defect(u)

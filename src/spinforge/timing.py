@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .config import PhysicalConfig
 
@@ -183,7 +183,6 @@ def solve_timing(
     search_bound: int = DEFAULT_SEARCH_BOUND,
     *,
     label: str = "t",
-    should_cancel: Callable[[], bool] | None = None,
 ) -> TimingSolution:
     """Find the smallest duration meeting every congruence simultaneously.
 
@@ -234,8 +233,6 @@ def solve_timing(
 
     blockers: dict[str, int] = {}
     for k_ref in range(max(ref.min_witness, 0), search_bound + 1):
-        if should_cancel is not None and should_cancel():
-            raise IncommensurateError("timing search cancelled")
         phase_ref = 2 * k_ref + ref.residue_over_pi
         if phase_ref <= 0:
             continue
@@ -329,12 +326,6 @@ class PulseSegment:
     angle: float
     duration_label: str = ""
 
-    @property
-    def generator_label(self) -> str:
-        if not self.sites:
-            return "phase"
-        return "".join(f"{a}{s}" for s, a in zip(self.sites, self.axes))
-
 
 @dataclass(frozen=True)
 class PulseProgram:
@@ -366,56 +357,21 @@ def _c(
     )
 
 
-def _phase_window_half() -> tuple[TimingConstraint, ...]:
+def _phase_window(residue: str, drive_level: str) -> tuple[TimingConstraint, ...]:
+    """omega*t/2, J*t/4 and B'*t land on one residue; the drive turns whole."""
+    frac = Fraction(residue)
+    term = f"{'-' if frac < 0 else '+'} pi/{frac.denominator}"
+    drive = "gamma*B1*t/2" if drive_level == "1/2" else "gamma*B1*t"
     return (
-        _c(ConstraintKind.ZEEMAN, "1/2", "-1/8", 1, "omega*t/2 = 2n*pi - pi/8"),
-        _c(ConstraintKind.EXCHANGE, "1/4", "-1/8", 1, "J*t/4 = 2m*pi - pi/8"),
-        _c(ConstraintKind.OFFSET, "1", "-1/8", 1, "B'*t = 2p*pi - pi/8"),
-        _c(ConstraintKind.DRIVE, "1/2", "0", 0, "gamma*B1*t/2 = 2m*pi"),
-    )
-
-
-def _cnot_window_3q() -> tuple[TimingConstraint, ...]:
-    return (
-        _c(ConstraintKind.ZEEMAN, "1/2", "1/4", 1, "omega*t/2 = 2n*pi + pi/4"),
-        _c(ConstraintKind.EXCHANGE, "1/4", "1/4", 1, "J*t/4 = 2m*pi + pi/4"),
-        _c(ConstraintKind.OFFSET, "1", "1/4", 1, "B'*t = 2p*pi + pi/4"),
-        _c(ConstraintKind.DRIVE, "1/2", "0", 0, "gamma*B1*t/2 = 2m*pi"),
-    )
-
-
-def _phase_window_quarter() -> tuple[TimingConstraint, ...]:
-    return (
-        _c(ConstraintKind.ZEEMAN, "1/2", "-1/16", 1, "omega*t/2 = 2n*pi - pi/16"),
-        _c(ConstraintKind.EXCHANGE, "1/4", "-1/16", 1, "J*t/4 = 2m*pi - pi/16"),
-        _c(ConstraintKind.OFFSET, "1", "-1/16", 1, "B'*t = 2p*pi - pi/16"),
-        _c(ConstraintKind.DRIVE, "1", "0", 0, "gamma*B1*t = 2m*pi"),
-    )
-
-
-def _cnot_window_4q() -> tuple[TimingConstraint, ...]:
-    return (
-        _c(ConstraintKind.ZEEMAN, "1/2", "1/4", 1, "omega*t/2 = 2n*pi + pi/4"),
-        _c(ConstraintKind.EXCHANGE, "1/4", "1/4", 1, "J*t/4 = 2m*pi + pi/4"),
-        _c(ConstraintKind.OFFSET, "1", "1/4", 1, "B'*t = 2p*pi + pi/4"),
-        _c(ConstraintKind.DRIVE, "1", "0", 0, "gamma*B1*t = 2m*pi"),
+        _c(ConstraintKind.ZEEMAN, "1/2", residue, 1, f"omega*t/2 = 2n*pi {term}"),
+        _c(ConstraintKind.EXCHANGE, "1/4", residue, 1, f"J*t/4 = 2m*pi {term}"),
+        _c(ConstraintKind.OFFSET, "1", residue, 1, f"B'*t = 2p*pi {term}"),
+        _c(ConstraintKind.DRIVE, drive_level, "0", 0, f"{drive} = 2m*pi"),
     )
 
 
 def _free_pulse(residue: str, min_witness: int, text: str) -> tuple[TimingConstraint, ...]:
     return (_c(ConstraintKind.ZEEMAN, "1/2", residue, min_witness, text),)
-
-
-def _y_pulse() -> tuple[TimingConstraint, ...]:
-    return _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
-
-
-def _d_pulse_3q() -> tuple[TimingConstraint, ...]:
-    return _free_pulse("-1/8", 1, "omega*t/2 = 2n*pi - pi/8")
-
-
-def _d_pulse_4q() -> tuple[TimingConstraint, ...]:
-    return _free_pulse("-1/16", 1, "omega*t/2 = 2n*pi - pi/16")
 
 
 def _cz_window() -> tuple[TimingConstraint, ...]:
@@ -438,15 +394,19 @@ class GateTable:
 
 
 def _ccnot_table() -> GateTable:
+    y = _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
+    d = _free_pulse("-1/8", 1, "omega*t/2 = 2n*pi - pi/8")
+    window = _phase_window("-1/8", "1/2")
+    cnot = _phase_window("1/4", "1/2")
     windows = (
-        ("t1", _phase_window_half()),
-        ("t2", _y_pulse()),
-        ("t3", _d_pulse_3q()),
-        ("t4", _cnot_window_3q()),
-        ("t5", _y_pulse()),
-        ("t6", _phase_window_half()),
-        ("t7", _y_pulse()),
-        ("t8", _d_pulse_3q()),
+        ("t1", window),
+        ("t2", y),
+        ("t3", d),
+        ("t4", cnot),
+        ("t5", y),
+        ("t6", window),
+        ("t7", y),
+        ("t8", d),
     )
     totals = (
         ("T1", (("t1", 1), ("t2", 2), ("t3", 3))),
@@ -458,22 +418,26 @@ def _ccnot_table() -> GateTable:
 
 
 def _cccnot_table() -> GateTable:
+    y = _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
+    d = _free_pulse("-1/16", 1, "omega*t/2 = 2n*pi - pi/16")
+    window = _phase_window("-1/16", "1")
+    cnot = _phase_window("1/4", "1")
     windows = (
-        ("t1", _phase_window_quarter()),
-        ("t2", _y_pulse()),
-        ("t3", _d_pulse_4q()),
-        ("t4", _cnot_window_4q()),
-        ("t5", _y_pulse()),
-        ("t6", _phase_window_quarter()),
-        ("t7", _y_pulse()),
-        ("t8", _d_pulse_4q()),
-        ("t9", _cnot_window_4q()),
-        ("t10", _y_pulse()),
-        ("t11", _phase_window_quarter()),
-        ("t12", _y_pulse()),
-        ("t13", _d_pulse_4q()),
-        ("t14", _cnot_window_4q()),
-        ("t15", _y_pulse()),
+        ("t1", window),
+        ("t2", y),
+        ("t3", d),
+        ("t4", cnot),
+        ("t5", y),
+        ("t6", window),
+        ("t7", y),
+        ("t8", d),
+        ("t9", cnot),
+        ("t10", y),
+        ("t11", window),
+        ("t12", y),
+        ("t13", d),
+        ("t14", cnot),
+        ("t15", y),
     )
     totals = (
         ("T1", (("t1", 1), ("t2", 2), ("t3", 7))),

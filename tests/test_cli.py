@@ -4,15 +4,21 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinforge import cli
+import spinforge
+from spinforge import cli, gates
 from spinforge.cli import main
-from spinforge.tensor import matrix_from_json
+from spinforge.tensor import FidelityReport, matrix_from_json
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +172,31 @@ class TestVerify:
     def test_unknown_scope_errors(self, capsys):
         code, out = run_cli(capsys, "verify", "everything", "--natural-units")
         assert code == 3
+
+    @pytest.mark.parametrize("scope", ["not", "cnot"])
+    def test_oracle_window_with_a_reference_offset(self, capsys, scope):
+        # u_phi carries exp(-i B' t); the lab-frame window must take it on too.
+        code, out = run_cli(
+            capsys, "verify", scope, "--oracle", "--natural-units", "--b-prime", "0.3"
+        )
+        assert code == 0, out
+        assert "lab-frame" in out
+
+    @pytest.mark.parametrize("scope", ["ccnot", "cccnot", "all", "cz"])
+    def test_components_payload(self, capsys, scope):
+        code, out = run_cli(capsys, "verify", scope, "--natural-units", "--json")
+        assert code == 0
+        payload = payload_from(out)["payload"]
+        if scope == "cz":
+            assert "components" not in payload
+            return
+        rows = payload["components"]
+        specs = gates.AUDIT_SPECS_3Q + gates.AUDIT_SPECS_4Q
+        assert len(rows) == len(specs) == 12
+        assert [row["gate_label"] for row in rows] == [spec.label for spec in specs]
+        keys = FidelityReport(1.0, 0.0, 0.0).to_json_dict().keys()
+        assert all(row.keys() == keys for row in rows)
+        assert all(row["fidelity"] >= 1 - 1e-12 for row in rows)
 
 
 class TestSimulate:
@@ -432,3 +463,78 @@ def test_random_command_lines_end_in_a_documented_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd=None):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["build", "cccnot", "--natural-units", "--json"], 0),
+            (["schedule", "cz", "--natural-units", "--j=1.5", "--b-prime=0.5",
+              "--mode", "shared-constants"], 2),
+            (["verify", "everything", "--json"], 3),
+        ],
+    )
+    def test_exit_code_is_the_commands_own(self, monkeypatch, argv, expected):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(argv) == expected
+
+    def test_buffered_output_goes_to_devnull(self, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "wb") as fh:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+            assert main(["build", "not", "--natural-units"]) == 0
+            os.write(fh.fileno(), b"flushed at exit")
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+    def test_closed_pipe_prints_no_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(pathlib.Path(spinforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinforge.cli", "build", "cccnot", "--natural-units", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Each `spinforge ...` line of the README "Command line" block, as argv."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("spinforge ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_lines_exit_zero(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out

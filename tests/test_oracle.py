@@ -80,17 +80,6 @@ class TestIntegrateLab:
         )
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-8
 
-    def test_renormalization_policy(self):
-        period = rabi_period(CFG_DRIVEN)
-        out = integrate_lab(
-            CFG_DRIVEN,
-            1,
-            basis_state(1, "0"),
-            period,
-            IntegrationSettings(period / 5_000, renormalize_every=100),
-        )
-        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
-
     def test_norm_drift_halving_gives_32x_reduction(self):
         # Fixed interval, no renormalization: the accumulated
         # pre-renormalization drift scales one power below the step count,
@@ -129,8 +118,6 @@ class TestIntegrateLab:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             IntegrationSettings(dt=0.0)
-        with pytest.raises(ValueError):
-            IntegrationSettings(dt=0.1, renormalize_every=-1)
 
 
 class TestAnalyticRotating:
@@ -303,7 +290,7 @@ class TestTrajectory:
 CHUNK_EDGE_STEPS = (1, 63, 64, 65, 129)
 
 
-def stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every=0):
+def stage_form_rk4(cfg, n, psi0, t_final, steps):
     """Classical RK4 on the state, H rebuilt at t, t + dt/2 and t + dt.
 
     Returns (times, states) including the initial state, like
@@ -323,8 +310,6 @@ def stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every=0):
         k4 = -1j * (h_end @ (psi + dt * k3))
         psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = step * dt
-        if renormalize_every and step % renormalize_every == 0:
-            psi = psi / np.linalg.norm(psi)
         times.append(t)
         states.append(psi.copy())
     return np.array(times), np.array(states)
@@ -355,22 +340,22 @@ def oracle_cases(draw):
 
 
 class TestStepMapReference:
-    @given(case=oracle_cases(), renormalize_every=st.sampled_from([0, 0, 1, 7, 64]))
+    @given(case=oracle_cases())
     @settings(max_examples=40, deadline=None)
-    def test_integrate_lab_matches_stage_form(self, case, renormalize_every):
+    def test_integrate_lab_matches_stage_form(self, case):
         cfg, n, psi0, t_final, steps = case
-        settings_ = IntegrationSettings(t_final / steps, renormalize_every)
+        settings_ = IntegrationSettings(t_final / steps)
         got = integrate_lab(cfg, n, psi0, t_final, settings_)
-        _, ref = stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every)
+        _, ref = stage_form_rk4(cfg, n, psi0, t_final, steps)
         assert np.max(np.abs(got - ref[-1])) <= 1e-12
 
-    @given(case=oracle_cases(), renormalize_every=st.sampled_from([0, 5]))
+    @given(case=oracle_cases())
     @settings(max_examples=15, deadline=None)
-    def test_trajectory_matches_stage_form_step_for_step(self, case, renormalize_every):
+    def test_trajectory_matches_stage_form_step_for_step(self, case):
         cfg, n, psi0, t_final, steps = case
-        settings_ = IntegrationSettings(t_final / steps, renormalize_every)
+        settings_ = IntegrationSettings(t_final / steps)
         times, states = integrate_lab_trajectory(cfg, n, psi0, t_final, settings_)
-        ref_times, ref_states = stage_form_rk4(cfg, n, psi0, t_final, steps, renormalize_every)
+        ref_times, ref_states = stage_form_rk4(cfg, n, psi0, t_final, steps)
         assert np.array_equal(times, ref_times)
         assert states.shape == ref_states.shape
         assert np.max(np.abs(states - ref_states)) <= 1e-12
@@ -521,16 +506,12 @@ class TestSharedWindows:
         gc.collect()
         assert all(ref() is None for ref in built)
 
-    @pytest.mark.parametrize("renormalize_every", [0, 20_000, "at the failing step"])
-    def test_drift_error_names_a_first_step_inside_a_chunk(self, renormalize_every):
-        # The drift of a renormalizing step is measured before it renormalizes.
+    def test_drift_error_names_a_first_step_inside_a_chunk(self):
         dt = drift_dt()
         psi0 = basis_state(1, "0")
         expected = first_step_past_the_drift_limit(CFG_DRIVEN, 1, psi0, 30_000, dt)
         assert expected is not None and 8 <= expected % 64 <= 56
-        if renormalize_every == "at the failing step":
-            renormalize_every = expected
-        settings_ = IntegrationSettings(dt, renormalize_every)
+        settings_ = IntegrationSettings(dt)
         with pytest.raises(IntegrationError, match=rf"\(step {expected}, ") as exc:
             integrate_lab(CFG_DRIVEN, 1, psi0, 30_000 * dt, settings_)
         assert f"at t={expected * dt!r} " in str(exc.value)

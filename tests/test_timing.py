@@ -129,11 +129,6 @@ class TestSolveTiming:
         with pytest.raises(IncommensurateError, match="zero coefficient"):
             solve_timing([bad])
 
-    def test_cancellation_hook(self):
-        c = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
-        with pytest.raises(IncommensurateError, match="cancelled"):
-            solve_timing([c], should_cancel=lambda: True)
-
     def test_minimality_against_brute_force(self):
         # Shared constants make a nontrivial simultaneous system.
         cs = [
