@@ -1,8 +1,9 @@
 """Command-line front end: build, schedule, verify, simulate.
 
 Every subcommand produces a CommandResult with a machine-readable payload
-and a human summary; --json prints the payload document, --csv the CSV
-mirror where one exists. Exit code 0 means every invoked check passed.
+and a human summary. Stdout carries the summary, or the CSV mirror with
+--csv where one exists; with --json it carries the JSON document alone.
+Exit code 0 means every invoked check passed.
 """
 from __future__ import annotations
 
@@ -79,7 +80,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="desk-scale defaults: gamma = 1, b0 = 1, omega = 1",
     )
-    parser.add_argument("--json", action="store_true", help="print the JSON payload")
+    parser.add_argument(
+        "--json", action="store_true", help="print only the JSON document"
+    )
 
 
 def _config_from_args(args) -> PhysicalConfig:
@@ -421,10 +424,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         result = CommandResult("error", {"message": str(exc)}, f"error: {exc}")
     try:
-        print(result.human_summary)
         if args.json:
             document = {"status": result.status, "payload": result.payload}
             print(json.dumps(document, indent=2, sort_keys=True))
+        else:
+            print(result.human_summary)
         sys.stdout.flush()
     except BrokenPipeError:
         _discard_stdout()

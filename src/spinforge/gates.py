@@ -18,7 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .config import PhysicalConfig
-from .operators import embed_factors, pauli, pauli_string, pair_sites
+from .operators import (
+    check_system_size,
+    embed_factors,
+    pair_sites,
+    pauli,
+    pauli_string,
+)
 from .tensor import FidelityReport, expm_pauli, identity, phase_fidelity
 from .timing import (
     COMPONENT_PARENT_GATE,
@@ -86,8 +92,7 @@ def cnot_matrix(control: int, target: int, n: int = 2) -> np.ndarray:
 
 def canonical_toffoli(n: int) -> np.ndarray:
     """Multi-controlled NOT on qubit n: identity with the last two rows swapped."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"system size {n} outside 1..4")
+    check_system_size(n)
     m = identity(2**n)
     m[[-2, -1]] = m[[-1, -2]]
     return m
@@ -214,8 +219,7 @@ def u_phi(n: int, timing: TimingSolution, cfg: PhysicalConfig) -> np.ndarray:
     evaluated at the exact residue the timing solution pins down. With the
     drive factor eliminated the result is diagonal.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"system size {n} outside 1..4")
+    check_system_size(n)
     if not cfg.at_resonance:
         raise ValueError("u_phi requires the resonance condition omega = gamma*b0")
     a_x = _window_angle(timing, ConstraintKind.DRIVE, 2, cfg)

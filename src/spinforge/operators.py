@@ -38,13 +38,14 @@ def spin(axis: str) -> np.ndarray:
     return pauli(axis) / 2
 
 
-def _check_system_size(n: int) -> None:
+def check_system_size(n: int) -> None:
+    """Reject a register size outside 1..MAX_QUBITS with a ValueError naming it."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"system size {n} outside 1..{MAX_QUBITS}")
 
 
 def _check_site(site: int, n: int) -> None:
-    _check_system_size(n)
+    check_system_size(n)
     if not 1 <= site <= n:
         raise ValueError(f"site {site} outside 1..{n}")
 
@@ -56,7 +57,7 @@ def embed_factors(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
     get the identity. An empty mapping yields the full identity. The
     result is always a fresh array, never one of the factors.
     """
-    _check_system_size(n)
+    check_system_size(n)
     for site in factors:
         _check_site(site, n)
     out = as_matrix(factors.get(1, IDENTITY_2)).copy()
@@ -95,19 +96,19 @@ def embed_pair_zz(i: int, j: int, n: int) -> np.ndarray:
 
 def total_spin(axis: str, n: int) -> np.ndarray:
     """Sum of S_axis over all sites."""
-    _check_system_size(n)
+    check_system_size(n)
     return sum(embed_single(axis, site, n) for site in range(1, n + 1))
 
 
 def pair_sites(n: int) -> list[tuple[int, int]]:
     """All site pairs i < j, C(n, 2) of them."""
-    _check_system_size(n)
+    check_system_size(n)
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def exchange_sum(n: int) -> np.ndarray:
     """Sum of all Ising pair terms S_zi · S_zj over i < j (diagonal)."""
-    _check_system_size(n)
+    check_system_size(n)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for i, j in pair_sites(n):
         out = out + embed_pair_zz(i, j, n)

@@ -18,13 +18,14 @@ import numpy as np
 
 from .config import PhysicalConfig
 from .hamiltonians import lab_hamiltonian, rotating_hamiltonian
-from .operators import spin, total_spin
+from .operators import check_system_size, spin, total_spin
 from .tensor import basis_state, identity, require_normalized
 
 STABILITY_LIMIT = 0.1       # dt * spectral radius of H must stay below this
 NORM_DRIFT_LIMIT = 1e-4     # norm drift that counts as unstable
 MAX_STEPS = 10**9           # largest step count one integration accepts
-_CHUNK_STEPS = 64           # RK4 step maps built per batch of generators
+_CHUNK_STEPS = 64           # RK4 step maps built per batch
+_HARMONICS = 4              # degree in the drive phase of one RK4 step's map
 _SHARED_WINDOW_BYTES = 64 << 20  # largest window lab_propagator keeps for its columns
 
 # Windows shared by the columns of one lab_propagator call, keyed by
@@ -67,22 +68,56 @@ def _spectral_radius(h: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
-def _step_maps(g0, ga, gb, omega, t0, dt, count):
-    """RK4 step maps R_k, psi_{k+1} = R_k psi_k, of ``count`` steps from t0.
+def _harmonics(phases):
+    """Rows [1, cos mθ, sin mθ for m = 1.._HARMONICS], one row per phase θ."""
+    m_theta = np.multiply.outer(phases, np.arange(1, _HARMONICS + 1))
+    rows = np.empty((len(phases), 2 * _HARMONICS + 1))
+    rows[:, 0] = 1.0
+    np.cos(m_theta, out=rows[:, 1 : _HARMONICS + 1])
+    np.sin(m_theta, out=rows[:, _HARMONICS + 1 :])
+    return rows
 
-    The generator G(t) = -iH(t) = g0 + cos(wt) ga + sin(wt) gb is built at
-    every half-step time in one broadcast. With A1, A2, A4 the generators
-    at t, t + dt/2 and t + dt, the classical stages applied to the identity
-    are M1 = A2 (I + dt/2 A1), M2 = A2 (I + dt/2 M1), M3 = A4 (I + dt M2),
-    and R = I + dt/6 (A1 + 2 M1 + 2 M2 + M3): the textbook RK4 step.
+
+def _step_coefficients(g0, ga, gb, omega, dt):
+    """Fourier coefficients of the RK4 increment R(θ) - I in the drive phase θ.
+
+    The generator G = -iH = g0 + cos(θ) ga + sin(θ) gb is taken at the
+    phases θ, θ + ω dt/2 and θ + ω dt of one step's start, middle and end.
+    With A1, A2, A4 those three generators, the classical stages applied to
+    the identity are M1 = A2 (I + dt/2 A1), M2 = A2 (I + dt/2 M1),
+    M3 = A4 (I + dt M2), and R = I + dt/6 (A1 + 2 M1 + 2 M2 + M3): the
+    textbook RK4 step. R - I is a product of at most four G's, so it is a
+    trig polynomial of degree _HARMONICS in θ. Sampled at 2·_HARMONICS + 1
+    equally spaced phases, a discrete Fourier sum recovers it exactly.
+    Returns the coefficient matrices stacked in the order of _harmonics.
     """
-    wt = omega * (t0 + np.arange(2 * count + 1) * (dt / 2))
-    g = g0 + np.cos(wt)[:, None, None] * ga + np.sin(wt)[:, None, None] * gb
-    a1, a2, a4 = g[0:-1:2], g[1::2], g[2::2]
+    samples = 2 * _HARMONICS + 1
+    theta = 2 * np.pi * np.arange(samples) / samples
+    wt = theta[:, None] + (omega * dt / 2) * np.arange(3)
+    g = g0 + np.cos(wt)[..., None, None] * ga + np.sin(wt)[..., None, None] * gb
+    a1, a2, a4 = g[:, 0], g[:, 1], g[:, 2]
     m1 = a2 + (dt / 2) * (a2 @ a1)
     m2 = a2 + (dt / 2) * (a2 @ m1)
     m3 = a4 + dt * (a4 @ m2)
-    return np.eye(g0.shape[0]) + (dt / 6) * (a1 + 2 * m1 + 2 * m2 + m3)
+    increments = (dt / 6) * (a1 + 2 * m1 + 2 * m2 + m3)
+    fourier = _harmonics(theta).T * (2 / samples)
+    fourier[0] /= 2  # the constant term has weight 1/samples
+    return (fourier @ increments.reshape(samples, -1)).reshape(samples, *g0.shape)
+
+
+def _step_maps(coeffs, omega, t0, dt, count):
+    """RK4 step maps R_k, psi_{k+1} = R_k psi_k, of ``count`` steps from t0.
+
+    Each R_k is I plus the increment expansion of _step_coefficients at the
+    step's drive phase ω (t0 + k dt): one real product of the (count, 9)
+    harmonics with the coefficients' real and imaginary parts.
+    """
+    dim = coeffs.shape[-1]
+    flat = coeffs.reshape(len(coeffs), -1).view(float)
+    phases = omega * (t0 + np.arange(count) * dt)
+    maps = (_harmonics(phases) @ flat).view(complex)
+    maps[:, :: dim + 1] += 1
+    return maps.reshape(count, dim, dim)
 
 
 def _prefix_products(p):
@@ -108,12 +143,14 @@ def _chunk_propagators(g0, ga, gb, omega, dt, n_steps):
 
     P_j advances the state at the chunk's start by j steps. Each chunk is
     yielded as its P_j stacked row-wise, so all the chunk's states come
-    from one matrix-vector product.
+    from one matrix-vector product. The step maps' Fourier coefficients
+    are fixed once for the whole window.
     """
     dim = g0.shape[0]
+    coeffs = _step_coefficients(g0, ga, gb, omega, dt)
     for start in range(0, n_steps, _CHUNK_STEPS):
         count = min(_CHUNK_STEPS, n_steps - start)
-        p = _prefix_products(_step_maps(g0, ga, gb, omega, start * dt, dt, count))
+        p = _prefix_products(_step_maps(coeffs, omega, start * dt, dt, count))
         yield p.reshape(count * dim, dim)
 
 
@@ -238,6 +275,8 @@ def analytic_rotating(
     reference energy B' multiplies in the bookkeeping phase exp(-i B' t).
     """
     psi = require_normalized(psi0).astype(complex)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     h_r = rotating_hamiltonian(cfg, n, with_offset=False)
     evals, evecs = np.linalg.eigh(h_r)
     inner = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
@@ -262,6 +301,8 @@ def check_m_constancy(cfg: PhysicalConfig, sample_times) -> float:
     sx, sy, sz = spin("x"), spin("y"), spin("z")
     worst = 0.0
     for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"sample_times must be finite, got {t}")
         wt = cfg.omega * t
         frame = np.diag(np.exp(-1j * wt * np.diag(sz)))
         drive = math.cos(wt) * sx - math.sin(wt) * sy
@@ -321,6 +362,7 @@ def lab_propagator(
     The columns share one set of chunk propagators, built by the first
     column and freed when this returns.
     """
+    check_system_size(n)
     dim = 2**n
     u = identity(dim)
     token = _shared_windows.set({})

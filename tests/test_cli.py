@@ -396,6 +396,28 @@ class TestParserReuse:
         assert payload_from(out)["payload"]["gate"] == "not"
 
 
+JSON_COMMANDS = [
+    (["build", "cnot", "--natural-units"], 0),
+    (["schedule", "cz", "--natural-units"], 0),
+    (["schedule", "ccnot", "--natural-units", "--csv"], 0),
+    (["verify", "cz", "--natural-units"], 0),
+    (["simulate", "--n", "1", "--psi0", "0", "--t-final", "1", "--natural-units"], 0),
+    (["verify", "everything", "--natural-units"], 3),
+]
+
+
+class TestJsonStdoutIsTheDocument:
+    @pytest.mark.parametrize(
+        "argv, expected_code", JSON_COMMANDS, ids=[" ".join(argv) for argv, _ in JSON_COMMANDS]
+    )
+    def test_stdout_parses_as_one_document(self, capsys, argv, expected_code):
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == expected_code
+        doc = json.loads(out)
+        assert set(doc) == {"status", "payload"}
+        assert cli._STATUS_EXIT[doc["status"]] == code
+
+
 class TestSimulateBadNumbers:
     @pytest.mark.parametrize(
         "flags, message",

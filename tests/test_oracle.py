@@ -435,11 +435,12 @@ def drift_dt():
 def first_step_past_the_drift_limit(cfg, n, psi0, steps, dt):
     """The failing step of a plain loop: one step map, one norm per step."""
     h0, a, b = oracle._drive_parts(cfg, n)
+    coeffs = oracle._step_coefficients(-1j * h0, -1j * a, -1j * b, cfg.omega, dt)
     psi = psi0.astype(complex)
     step = 0
     while step < steps:
-        count = min(64, steps - step)
-        for r in oracle._step_maps(-1j * h0, -1j * a, -1j * b, cfg.omega, step * dt, dt, count):
+        count = min(oracle._CHUNK_STEPS, steps - step)
+        for r in oracle._step_maps(coeffs, cfg.omega, step * dt, dt, count):
             psi = r @ psi
             step += 1
             if abs(np.linalg.norm(psi) - 1.0) > NORM_DRIFT_LIMIT:
@@ -538,3 +539,96 @@ class TestBadInputsNamed:
     def test_step_count_overflow(self, t_final, dt):
         with pytest.raises(ValueError, match=r"t_final / dt = .* step limit"):
             integrate_lab(CFG_DRIVEN, 1, basis_state(1, "0"), t_final, IntegrationSettings(dt))
+
+    def test_non_finite_sample_time(self):
+        with pytest.raises(ValueError, match="sample_times must be finite, got nan"):
+            check_m_constancy(CFG_DRIVEN, [0.0, math.nan])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_analytic_time(self, t):
+        with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
+            analytic_rotating(CFG_DRIVEN, 1, basis_state(1, "0"), t)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_propagator_names_the_system_size(self, n):
+        with pytest.raises(ValueError, match=f"system size {n} outside 1..4"):
+            lab_propagator(CFG_DRIVEN, n, 1.0, IntegrationSettings(0.01))
+
+
+# ---------------------------------------------------------------------------
+# Step maps from the Fourier expansion of R - I in the drive phase
+# ---------------------------------------------------------------------------
+
+
+def stage_form_step_maps(g0, ga, gb, omega, t0, dt, count):
+    """Classical RK4 stages applied to the identity, G rebuilt at t, t + dt/2, t + dt."""
+
+    def generator(t):
+        return g0 + math.cos(omega * t) * ga + math.sin(omega * t) * gb
+
+    eye = np.eye(len(g0))
+    maps = []
+    for k in range(count):
+        t = t0 + k * dt
+        k1 = generator(t)
+        k2 = generator(t + dt / 2) @ (eye + (dt / 2) * k1)
+        k3 = generator(t + dt / 2) @ (eye + (dt / 2) * k2)
+        k4 = generator(t + dt) @ (eye + dt * k3)
+        maps.append(eye + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(maps)
+
+
+@st.composite
+def generator_cases(draw):
+    """Random Hermitian static and drive parts of -iH, far from any symmetry.
+
+    Unlike a physical register, whose matrix elements carry at most n
+    harmonics of the drive, these make every harmonic up to the fourth
+    appear in R - I, so a truncated expansion shows.
+    """
+    dim = 2 ** draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(3):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (m + m.conj().T) / 2
+        parts.append(-1j * h / np.linalg.norm(h, 2))
+    omega = draw(st.floats(0.5, 2.0))
+    dt = draw(st.floats(0.01, 0.033))  # dt * |H| <= 0.033 (1 + sqrt 2) < 0.1
+    t0 = draw(st.floats(0.0, 1e4)) / omega  # drive phases up to 1e4 rad
+    count = draw(st.sampled_from([1, 7, oracle._CHUNK_STEPS]))
+    return (*parts, omega, t0, dt, count)
+
+
+class TestFourierStepMaps:
+    @given(case=generator_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_step_maps_match_the_stage_form(self, case):
+        g0, ga, gb, omega, t0, dt, count = case
+        coeffs = oracle._step_coefficients(g0, ga, gb, omega, dt)
+        got = oracle._step_maps(coeffs, omega, t0, dt, count)
+        ref = stage_form_step_maps(g0, ga, gb, omega, t0, dt, count)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def site_swap(n, i, j):
+    """Permutation matrix that exchanges sites i and j (qubit 1 most significant)."""
+    dim = 2**n
+    perm = np.zeros((dim, dim))
+    for col in range(dim):
+        bits = list(format(col, f"0{n}b"))
+        bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
+        perm[int("".join(bits), 2), col] = 1.0
+    return perm
+
+
+class TestSiteSymmetry:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_propagator_commutes_with_every_site_swap(self, n):
+        # Every site sees the same field and every pair the same exchange.
+        u = lab_propagator(CFG_COUPLED, n, 2000 * 0.01, IntegrationSettings(0.01))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                perm = site_swap(n, i, j)
+                assert np.max(np.abs(perm @ u @ perm.T - u)) <= 1e-12
