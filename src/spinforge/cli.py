@@ -55,6 +55,14 @@ class CommandResult:
         return _STATUS_EXIT[self.status]
 
 
+class _UsageError(SystemExit):
+    """A malformed command line: exits EXIT_ERROR and keeps argparse's message."""
+
+    def __init__(self, message: str):
+        super().__init__(EXIT_ERROR)
+        self.message = message
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit EXIT_ERROR, not argparse's 2.
 
@@ -64,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -412,7 +421,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except _UsageError as exc:
+        # The usage text has gone to stderr; a --json caller still gets
+        # the error document on stdout.
+        if "--json" in argv:
+            _emit(_json_document("error", {"message": exc.message}))
+        raise
     handlers = {
         "build": cmd_build,
         "schedule": cmd_schedule,
@@ -423,16 +440,24 @@ def main(argv=None) -> int:
         result = handlers[args.command](args)
     except (ValueError, OSError) as exc:
         result = CommandResult("error", {"message": str(exc)}, f"error: {exc}")
+    if args.json:
+        _emit(_json_document(result.status, result.payload))
+    else:
+        _emit(result.human_summary)
+    return result.exit_code
+
+
+def _json_document(status: str, payload: dict) -> str:
+    return json.dumps({"status": status, "payload": payload}, indent=2, sort_keys=True)
+
+
+def _emit(text: str) -> None:
+    """Print the command's output; a reader that has gone is not an error."""
     try:
-        if args.json:
-            document = {"status": result.status, "payload": result.payload}
-            print(json.dumps(document, indent=2, sort_keys=True))
-        else:
-            print(result.human_summary)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         _discard_stdout()
-    return result.exit_code
 
 
 def _discard_stdout() -> None:

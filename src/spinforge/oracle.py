@@ -24,7 +24,7 @@ from .tensor import basis_state, identity, require_normalized
 STABILITY_LIMIT = 0.1       # dt * spectral radius of H must stay below this
 NORM_DRIFT_LIMIT = 1e-4     # norm drift that counts as unstable
 MAX_STEPS = 10**9           # largest step count one integration accepts
-_CHUNK_STEPS = 64           # RK4 step maps built per batch
+_CHUNK_BYTES = 1 << 20      # bytes of RK4 step maps built per batch
 _HARMONICS = 4              # degree in the drive phase of one RK4 step's map
 _SHARED_WINDOW_BYTES = 64 << 20  # largest window lab_propagator keeps for its columns
 
@@ -120,20 +120,27 @@ def _step_maps(coeffs, omega, t0, dt, count):
     return maps.reshape(count, dim, dim)
 
 
+def _chunk_steps(dim):
+    """Steps per chunk of step maps: as many d×d complex maps as fit _CHUNK_BYTES."""
+    return _CHUNK_BYTES // (16 * dim * dim)
+
+
 def _prefix_products(p):
     """Turn step maps R_1, R_2, ... into P_j = R_j ... R_1, in place.
 
-    Blocks of 8 steps take their prefixes side by side, then each block
-    takes the product of the blocks before it: 14 batched products instead
-    of one Python-level product per step.
+    Blocks of isqrt(len(p)) steps take their prefixes side by side, then
+    each block takes the product of the blocks before it, and the few
+    steps past the last whole block follow one by one: about 2·√len(p)
+    batched products instead of one Python-level product per step.
     """
-    full = len(p) - len(p) % 8
-    blocks = p[:full].reshape(-1, 8, *p.shape[1:])
-    for j in range(1, 8):
+    size = math.isqrt(len(p))
+    full = len(p) - len(p) % size
+    blocks = p[:full].reshape(-1, size, *p.shape[1:])
+    for j in range(1, size):
         blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
     for i in range(1, len(blocks)):
         blocks[i] = blocks[i] @ blocks[i - 1, -1]
-    for j in range(max(full, 1), len(p)):
+    for j in range(full, len(p)):
         p[j] = p[j] @ p[j - 1]
     return p
 
@@ -147,9 +154,10 @@ def _chunk_propagators(g0, ga, gb, omega, dt, n_steps):
     are fixed once for the whole window.
     """
     dim = g0.shape[0]
+    steps = _chunk_steps(dim)
     coeffs = _step_coefficients(g0, ga, gb, omega, dt)
-    for start in range(0, n_steps, _CHUNK_STEPS):
-        count = min(_CHUNK_STEPS, n_steps - start)
+    for start in range(0, n_steps, steps):
+        count = min(steps, n_steps - start)
         p = _prefix_products(_step_maps(coeffs, omega, start * dt, dt, count))
         yield p.reshape(count * dim, dim)
 

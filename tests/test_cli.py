@@ -417,6 +417,32 @@ class TestJsonStdoutIsTheDocument:
         assert set(doc) == {"status", "payload"}
         assert cli._STATUS_EXIT[doc["status"]] == code
 
+    def test_usage_error_prints_the_error_document(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "cz", "--natural-units", "--json", "--b1", "abc"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "status": "error",
+            "payload": {"message": "argument --b1: invalid float value: 'abc'"},
+        }
+        assert "usage: spinforge build" in captured.err
+        assert "error: argument --b1: invalid float value: 'abc'" in captured.err
+
+    def test_usage_error_without_json_leaves_stdout_empty(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "cz", "--natural-units", "--b1", "abc"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid float value: 'abc'" in captured.err
+
+    def test_help_with_json_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "-h", "--json"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: spinforge build")
+
 
 class TestSimulateBadNumbers:
     @pytest.mark.parametrize(
@@ -485,6 +511,8 @@ def test_random_command_lines_end_in_a_documented_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
+    if code == 3 and "--json" in argv:
+        assert json.loads(out.getvalue())["status"] == "error", (argv, err.getvalue())
 
 
 class _ClosedPipe(io.TextIOBase):

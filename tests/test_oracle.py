@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,8 +287,15 @@ class TestTrajectory:
 # The step-map loop against a textbook stage-form RK4
 # ---------------------------------------------------------------------------
 
-# Step counts on both sides of the oracle's 64-step chunk edges.
+# Step counts on both sides of 64-step chunk edges. The stage-form tests
+# fix the oracle's chunk rule at 64 steps for every n, so these cross edges
+# at every n; the oracle's own 4-qubit chunks are tested separately.
 CHUNK_EDGE_STEPS = (1, 63, 64, 65, 129)
+
+
+def chunks_of_64_steps():
+    """The oracle with 64-step chunks at every n, as a context manager."""
+    return mock.patch.object(oracle, "_chunk_steps", lambda dim: 64)
 
 
 def stage_form_rk4(cfg, n, psi0, t_final, steps):
@@ -345,7 +353,8 @@ class TestStepMapReference:
     def test_integrate_lab_matches_stage_form(self, case):
         cfg, n, psi0, t_final, steps = case
         settings_ = IntegrationSettings(t_final / steps)
-        got = integrate_lab(cfg, n, psi0, t_final, settings_)
+        with chunks_of_64_steps():
+            got = integrate_lab(cfg, n, psi0, t_final, settings_)
         _, ref = stage_form_rk4(cfg, n, psi0, t_final, steps)
         assert np.max(np.abs(got - ref[-1])) <= 1e-12
 
@@ -354,11 +363,29 @@ class TestStepMapReference:
     def test_trajectory_matches_stage_form_step_for_step(self, case):
         cfg, n, psi0, t_final, steps = case
         settings_ = IntegrationSettings(t_final / steps)
-        times, states = integrate_lab_trajectory(cfg, n, psi0, t_final, settings_)
+        with chunks_of_64_steps():
+            times, states = integrate_lab_trajectory(cfg, n, psi0, t_final, settings_)
         ref_times, ref_states = stage_form_rk4(cfg, n, psi0, t_final, steps)
         assert np.array_equal(times, ref_times)
         assert states.shape == ref_states.shape
         assert np.max(np.abs(states - ref_states)) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 513])
+    def test_four_qubit_chunk_edges_match_stage_form(self, steps):
+        # The oracle's own chunk rule, unpatched: 256 steps per chunk at n = 4.
+        assert oracle._chunk_steps(16) == 256
+        cfg = PhysicalConfig(gamma=1.0, b0=1.1, b1=0.06, omega=0.9, j_coupling=0.3)
+        rng = np.random.default_rng(steps)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi0 = amps / np.linalg.norm(amps)
+        t_final = steps * 0.015
+        settings_ = IntegrationSettings(t_final / steps)
+        times, states = integrate_lab_trajectory(cfg, 4, psi0, t_final, settings_)
+        ref_times, ref_states = stage_form_rk4(cfg, 4, psi0, t_final, steps)
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(states - ref_states)) <= 1e-12
+        final = integrate_lab(cfg, 4, psi0, t_final, settings_)
+        assert np.max(np.abs(final - ref_states[-1])) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_propagator_columns_are_basis_state_integrations(self, n):
@@ -439,13 +466,18 @@ def first_step_past_the_drift_limit(cfg, n, psi0, steps, dt):
     psi = psi0.astype(complex)
     step = 0
     while step < steps:
-        count = min(oracle._CHUNK_STEPS, steps - step)
+        count = min(oracle._chunk_steps(len(psi0)), steps - step)
         for r in oracle._step_maps(coeffs, cfg.omega, step * dt, dt, count):
             psi = r @ psi
             step += 1
             if abs(np.linalg.norm(psi) - 1.0) > NORM_DRIFT_LIMIT:
                 return step
     return None
+
+
+def three_chunk_steps(n):
+    """Steps of a window of two whole chunks and a last chunk of two steps."""
+    return 2 * oracle._chunk_steps(2**n) + 2
 
 
 class TestSharedWindows:
@@ -464,20 +496,21 @@ class TestSharedWindows:
 
         monkeypatch.setattr(oracle, "_step_maps", counted_step_maps)
         monkeypatch.setattr(oracle, "integrate_lab", counted_integrate)
-        lab_propagator(CFG_COUPLED, n, 130 * 0.01, IntegrationSettings(0.01))
-        assert calls == {"step_maps": 3, "integrate_lab": 2**n}  # 64 + 64 + 2 steps
+        lab_propagator(CFG_COUPLED, n, three_chunk_steps(n) * 0.01, IntegrationSettings(0.01))
+        assert calls == {"step_maps": 3, "integrate_lab": 2**n}  # chunk + chunk + 2 steps
 
     def test_standalone_integration_holds_one_chunk(self):
         # The whole 4-qubit window of 10 000 steps would be 41 MiB.
-        psi0 = basis_state(4, "0101")
         settings_ = IntegrationSettings(0.01)
-        tracemalloc.start()
-        try:
-            integrate_lab(CFG_COUPLED, 4, psi0, 10_000 * 0.01, settings_)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        for n in range(1, 5):
+            psi0 = basis_state(n, "01" * (n // 2) + "0" * (n % 2))
+            tracemalloc.start()
+            try:
+                integrate_lab(CFG_COUPLED, n, psi0, 10_000 * 0.01, settings_)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (n, peak)
 
     @pytest.mark.parametrize("fail_at_column", [None, 2])
     def test_no_window_kept_after_the_call(self, fail_at_column, monkeypatch):
@@ -498,10 +531,10 @@ class TestSharedWindows:
         monkeypatch.setattr(oracle, "_step_maps", tracked_step_maps)
         monkeypatch.setattr(oracle, "integrate_lab", failing_integrate)
         if fail_at_column is None:
-            lab_propagator(CFG_COUPLED, 2, 130 * 0.01, IntegrationSettings(0.01))
+            lab_propagator(CFG_COUPLED, 2, three_chunk_steps(2) * 0.01, IntegrationSettings(0.01))
         else:
             with pytest.raises(RuntimeError, match="column failed"):
-                lab_propagator(CFG_COUPLED, 2, 130 * 0.01, IntegrationSettings(0.01))
+                lab_propagator(CFG_COUPLED, 2, three_chunk_steps(2) * 0.01, IntegrationSettings(0.01))
         assert len(built) == 3
         assert oracle._shared_windows.get() is None
         gc.collect()
@@ -511,7 +544,8 @@ class TestSharedWindows:
         dt = drift_dt()
         psi0 = basis_state(1, "0")
         expected = first_step_past_the_drift_limit(CFG_DRIVEN, 1, psi0, 30_000, dt)
-        assert expected is not None and 8 <= expected % 64 <= 56
+        chunk = oracle._chunk_steps(2)
+        assert expected is not None and 8 <= expected % chunk <= chunk - 8
         settings_ = IntegrationSettings(dt)
         with pytest.raises(IntegrationError, match=rf"\(step {expected}, ") as exc:
             integrate_lab(CFG_DRIVEN, 1, psi0, 30_000 * dt, settings_)
@@ -561,21 +595,21 @@ class TestBadInputsNamed:
 
 
 def stage_form_step_maps(g0, ga, gb, omega, t0, dt, count):
-    """Classical RK4 stages applied to the identity, G rebuilt at t, t + dt/2, t + dt."""
+    """Classical RK4 stages applied to the identity, G rebuilt at t, t + dt/2, t + dt.
+
+    All ``count`` steps side by side: step k starts at t = t0 + k dt.
+    """
 
     def generator(t):
-        return g0 + math.cos(omega * t) * ga + math.sin(omega * t) * gb
+        return g0 + np.cos(omega * t)[:, None, None] * ga + np.sin(omega * t)[:, None, None] * gb
 
     eye = np.eye(len(g0))
-    maps = []
-    for k in range(count):
-        t = t0 + k * dt
-        k1 = generator(t)
-        k2 = generator(t + dt / 2) @ (eye + (dt / 2) * k1)
-        k3 = generator(t + dt / 2) @ (eye + (dt / 2) * k2)
-        k4 = generator(t + dt) @ (eye + dt * k3)
-        maps.append(eye + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return np.array(maps)
+    t = t0 + np.arange(count) * dt
+    k1 = generator(t)
+    k2 = generator(t + dt / 2) @ (eye + (dt / 2) * k1)
+    k3 = generator(t + dt / 2) @ (eye + (dt / 2) * k2)
+    k4 = generator(t + dt) @ (eye + dt * k3)
+    return eye + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 @st.composite
@@ -596,7 +630,7 @@ def generator_cases(draw):
     omega = draw(st.floats(0.5, 2.0))
     dt = draw(st.floats(0.01, 0.033))  # dt * |H| <= 0.033 (1 + sqrt 2) < 0.1
     t0 = draw(st.floats(0.0, 1e4)) / omega  # drive phases up to 1e4 rad
-    count = draw(st.sampled_from([1, 7, oracle._CHUNK_STEPS]))
+    count = draw(st.sampled_from([1, 7, oracle._chunk_steps(dim)]))
     return (*parts, omega, t0, dt, count)
 
 
@@ -610,6 +644,50 @@ class TestFourierStepMaps:
         ref = stage_form_step_maps(g0, ga, gb, omega, t0, dt, count)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Prefix products in blocks of isqrt(count) steps
+# ---------------------------------------------------------------------------
+
+
+def random_unitaries(rng, count, dim):
+    """``count`` random d×d unitaries: their products keep norm 1 at any length."""
+    z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+class CountedMatmul(np.ndarray):
+    """An array whose views count the products they take part in as left factor."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        CountedMatmul.calls += 1
+        return np.matmul(np.asarray(self), np.asarray(other))
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_every_length_matches_the_plain_product(self, dim):
+        # 1..300 holds every perfect square up to 289 and the lengths on both sides.
+        rng = np.random.default_rng(dim)
+        maps = random_unitaries(rng, 300, dim)
+        ref = np.empty_like(maps)
+        ref[0] = maps[0]
+        for j in range(1, len(maps)):
+            ref[j] = maps[j] @ ref[j - 1]
+        for count in range(1, 301):
+            got = oracle._prefix_products(maps[:count].copy())
+            assert np.max(np.abs(got - ref[:count])) <= 1e-13, count
+
+    @pytest.mark.parametrize("count", [256, 1024, 4096, 16384])
+    def test_a_chunk_takes_about_two_root_count_products(self, count):
+        # The chunk lengths of n = 4..1: blocks of isqrt(count) steps.
+        maps = np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
+        CountedMatmul.calls = 0
+        oracle._prefix_products(maps.view(CountedMatmul))
+        assert CountedMatmul.calls <= 2 * math.isqrt(count)
 
 
 def site_swap(n, i, j):
