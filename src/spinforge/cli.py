@@ -448,7 +448,8 @@ def main(argv=None) -> int:
 
 
 def _json_document(status: str, payload: dict) -> str:
-    return json.dumps({"status": status, "payload": payload}, indent=2, sort_keys=True)
+    """The --json document on one line: without ``indent`` json uses its C encoder."""
+    return json.dumps({"status": status, "payload": payload}, sort_keys=True)
 
 
 def _emit(text: str) -> None:

@@ -131,15 +131,19 @@ def _prefix_products(p):
     Blocks of isqrt(len(p)) steps take their prefixes side by side, then
     each block takes the product of the blocks before it, and the few
     steps past the last whole block follow one by one: about 2·√len(p)
-    batched products instead of one Python-level product per step.
+    products instead of one Python-level product per step. A block's
+    prefixes, stacked row-wise, take that carry as one (size·d)×d by d×d
+    product.
     """
     size = math.isqrt(len(p))
     full = len(p) - len(p) % size
-    blocks = p[:full].reshape(-1, size, *p.shape[1:])
+    dim = p.shape[-1]
+    blocks = p[:full].reshape(-1, size, dim, dim)
     for j in range(1, size):
         blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+    flat = blocks.reshape(len(blocks), -1, dim)
     for i in range(1, len(blocks)):
-        blocks[i] = blocks[i] @ blocks[i - 1, -1]
+        flat[i] = flat[i] @ blocks[i - 1, -1]
     for j in range(full, len(p)):
         p[j] = p[j] @ p[j - 1]
     return p
@@ -186,6 +190,22 @@ def _window(cfg, n, n_steps, dt):
     return shared[key]
 
 
+def _step_count(t_final, dt):
+    """Fixed RK4 steps that cover t_final with steps no longer than dt.
+
+    The slack is relative: a ratio t_final / dt up to 1e-12·ratio above an
+    integer s gives s steps, so t_final = s·dt takes s steps however its
+    division rounds. An absolute slack gives such a t_final an extra step
+    once s is in the tens of thousands.
+    """
+    ratio = t_final / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(
+            f"t_final / dt = {ratio:.3g} steps exceeds the step limit {MAX_STEPS}"
+        )
+    return max(1, math.ceil(ratio * (1 - 1e-12)))
+
+
 def _integrate(cfg, n, psi0, t_final, settings, record=None):
     psi = require_normalized(psi0).astype(complex)
     if not math.isfinite(t_final):
@@ -197,13 +217,14 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
     if t_final == 0:
         return psi
     if settings is None:
-        settings = IntegrationSettings(dt=t_final / 10_000)
-    ratio = t_final / settings.dt
-    if not ratio <= MAX_STEPS:
-        raise ValueError(
-            f"t_final / dt = {ratio:.3g} steps exceeds the step limit {MAX_STEPS}"
-        )
-    n_steps = max(1, math.ceil(ratio - 1e-12))
+        default_dt = t_final / 10_000
+        if default_dt == 0:
+            raise ValueError(
+                f"t_final = {t_final!r} is too small for the default step "
+                "t_final / 10000, which underflows to 0; give dt explicitly"
+            )
+        settings = IntegrationSettings(dt=default_dt)
+    n_steps = _step_count(t_final, settings.dt)
     dt = t_final / n_steps
 
     step = 0

@@ -139,9 +139,13 @@ def phase_fidelity(u, v, gate_label: str = "") -> FidelityReport:
 
 
 def matrix_to_json(m) -> dict:
-    """Encode a matrix as {"dim": d, "rows": [[[re, im], ...], ...]}."""
+    """Encode a matrix as {"dim": d, "rows": [[[re, im], ...], ...]}.
+
+    The (re, im) pairs are stacked on a new last axis and converted by one
+    ``tolist``, which works for any memory layout, transposed views too.
+    """
     m = as_matrix(m)
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    rows = np.stack((m.real, m.imag), axis=-1).tolist()
     return {"dim": int(m.shape[0]), "rows": rows}
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -406,6 +407,11 @@ JSON_COMMANDS = [
 ]
 
 
+def assert_one_sorted_line(out):
+    """Stdout is one line: the document as json.dumps(..., sort_keys=True) writes it."""
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 class TestJsonStdoutIsTheDocument:
     @pytest.mark.parametrize(
         "argv, expected_code", JSON_COMMANDS, ids=[" ".join(argv) for argv, _ in JSON_COMMANDS]
@@ -416,6 +422,7 @@ class TestJsonStdoutIsTheDocument:
         doc = json.loads(out)
         assert set(doc) == {"status", "payload"}
         assert cli._STATUS_EXIT[doc["status"]] == code
+        assert_one_sorted_line(out)
 
     def test_usage_error_prints_the_error_document(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -453,6 +460,7 @@ class TestSimulateBadNumbers:
             (["--t-final", "1", "--dt", "nan"], "dt must be finite, got nan"),
             (["--t-final", "1", "--dt", "inf"], "dt must be finite, got inf"),
             (["--t-final", "1e300", "--dt", "1e-300"], "t_final / dt = inf steps"),
+            (["--t-final", "1e-320"], "t_final = 1e-320 is too small for the default step"),
         ],
     )
     def test_named_error_exit_3(self, capsys, flags, message):
@@ -588,3 +596,29 @@ def test_readme_command_lines_exit_zero(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
+
+
+def readme_json_commands():
+    """Each README `spinforge ...` line with --json, as argv up to any pipe or redirect.
+
+    "$gate" is expanded over the README's `for gate in ...` loop.
+    """
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    gates = re.search(r"for gate in ([^;]+); do", text).group(1).split()
+    commands = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("spinforge ") and "--json" in line:
+            argv = shlex.split(line, comments=True)[1:]
+            ends = [i for i, a in enumerate(argv) if a in (">", "|")]
+            argv = argv[: ends[0]] if ends else argv
+            names = gates if "$gate" in argv else [None]
+            commands += [[name if a == "$gate" else a for a in argv] for name in names]
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_json_commands(), ids=" ".join)
+def test_readme_json_lines_print_one_sorted_line(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out
+    assert_one_sorted_line(out)

@@ -574,6 +574,20 @@ class TestBadInputsNamed:
         with pytest.raises(ValueError, match=r"t_final / dt = .* step limit"):
             integrate_lab(CFG_DRIVEN, 1, basis_state(1, "0"), t_final, IntegrationSettings(dt))
 
+    def test_default_step_underflow_names_t_final(self):
+        psi0 = basis_state(1, "0")
+        message = r"t_final = 1e-320 is too small for the default step"
+        with pytest.raises(ValueError, match=message):
+            integrate_lab(CFG_DRIVEN, 1, psi0, 1e-320)
+        with pytest.raises(ValueError, match=message):
+            integrate_lab_trajectory(CFG_DRIVEN, 1, psi0, 1e-320)
+
+    def test_tiny_t_final_with_explicit_dt_takes_one_step(self):
+        times, _ = integrate_lab_trajectory(
+            CFG_DRIVEN, 1, basis_state(1, "0"), 1e-320, IntegrationSettings(0.01)
+        )
+        assert list(times) == [0.0, 1e-320]
+
     def test_non_finite_sample_time(self):
         with pytest.raises(ValueError, match="sample_times must be finite, got nan"):
             check_m_constancy(CFG_DRIVEN, [0.0, math.nan])
@@ -587,6 +601,28 @@ class TestBadInputsNamed:
     def test_propagator_names_the_system_size(self, n):
         with pytest.raises(ValueError, match=f"system size {n} outside 1..4"):
             lab_propagator(CFG_DRIVEN, n, 1.0, IntegrationSettings(0.01))
+
+
+class TestStepCount:
+    def test_whole_multiples_of_dt_take_that_many_steps(self):
+        wrong = [s for s in range(1, 40_001) if oracle._step_count(s * 0.01, 0.01) != s]
+        assert wrong == []
+
+    def test_trajectory_of_a_whole_multiple_records_one_row_per_step(self):
+        # 25603 * 0.01 / 0.01 rounds to 25603 + 3.6e-12: an absolute 1e-12 slack took 25604 steps.
+        times, states = integrate_lab_trajectory(
+            CFG_DRIVEN, 1, basis_state(1, "0"), 25603 * 0.01, IntegrationSettings(0.01)
+        )
+        assert len(times) == len(states) == 25604
+        assert times[-1] == 25603 * 0.01
+
+    @pytest.mark.parametrize("s", [1, 7, 300, 2000, 25603, 40_000, 10**6])
+    def test_ratios_past_an_integer_round_up(self, s):
+        assert oracle._step_count(s * (1 + 1e-9), 1.0) == s + 1
+        assert oracle._step_count(s + 0.5, 1.0) == s + 1
+
+    def test_a_span_shorter_than_dt_takes_one_step(self):
+        assert oracle._step_count(0.004, 0.01) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the dense matrix kernel."""
 
+import json
 import math
 
 import numpy as np
@@ -256,6 +257,35 @@ class TestPhaseFidelity:
         assert doc["gate_label"] == "x-check"
 
 
+def comprehension_rows(m):
+    """The rows an entry-by-entry encoder writes: one [re, im] pair of floats per entry."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+# Signed zeros, subnormals and extremes: the values a float conversion could alter.
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1 / 3, math.pi]
+
+
+def special_matrix(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = np.empty((dim, dim), dtype=complex)
+    m.real = rng.choice(SPECIAL_PARTS, size=(dim, dim))
+    m.imag = rng.choice(SPECIAL_PARTS, size=(dim, dim))
+    return m
+
+
+def layouts(m):
+    """The same entries as C-ordered, Fortran-ordered, transposed and strided arrays."""
+    wide = np.zeros((2 * len(m), 2 * len(m)), dtype=complex)
+    wide[::2, ::2] = m
+    return {
+        "c": np.ascontiguousarray(m),
+        "fortran": np.asfortranarray(m),
+        "transposed_view": np.ascontiguousarray(m.T).T,
+        "strided_view": wide[::2, ::2],
+    }
+
+
 class TestJsonEncoding:
     def test_round_trip_exact(self):
         u = expm_pauli(kron(SIGMA_X, SIGMA_Z), 0.1234567890123)
@@ -263,6 +293,28 @@ class TestJsonEncoding:
         assert doc["dim"] == 4
         back = matrix_from_json(doc)
         assert np.array_equal(u, back)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed_view", "strided_view"])
+    def test_rows_equal_the_entrywise_encoding(self, dim, layout):
+        m = special_matrix(dim, dim)
+        arr = layouts(m)[layout]
+        rows = matrix_to_json(arr)["rows"]
+        # repr tells -0.0 from 0.0 and a Python float from a numpy scalar.
+        assert repr(rows) == repr(comprehension_rows(m))
+
+    @given(st.lists(complex_entries, min_size=16, max_size=16))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_equal_the_entrywise_encoding_on_random_entries(self, entries):
+        m = np.array(entries, dtype=complex).reshape(4, 4)
+        for arr in layouts(m).values():
+            assert repr(matrix_to_json(arr)["rows"]) == repr(comprehension_rows(m))
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed_view", "strided_view"])
+    def test_round_trip_through_json_text_is_bit_exact(self, layout):
+        m = special_matrix(8, 3)
+        doc = json.loads(json.dumps(matrix_to_json(layouts(m)[layout])))
+        assert matrix_from_json(doc).tobytes() == m.tobytes()
 
     def test_bad_row_structure_rejected(self):
         with pytest.raises(ValueError, match="row structure"):
