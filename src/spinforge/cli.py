@@ -345,11 +345,10 @@ def cmd_simulate(args) -> CommandResult:
         psi0 = basis_state(n, args.psi0)
     except ValueError as exc:
         return CommandResult("error", {"message": str(exc)}, str(exc))
-    dt = args.dt if args.dt is not None else args.t_final / 10_000
     if args.dt is not None and args.t_final > 0:
         settings = oracle.IntegrationSettings(dt=args.dt)
     else:
-        settings = None  # the oracle's default step, t_final / 10_000
+        settings = None  # the oracle's default step
     try:
         if args.trajectory:
             times, states = oracle.integrate_lab_trajectory(
@@ -359,6 +358,10 @@ def cmd_simulate(args) -> CommandResult:
             final = states[-1]
         else:
             final = oracle.integrate_lab(cfg, n, psi0, args.t_final, settings)
+        if args.t_final > 0:
+            dt = oracle.step_plan(args.t_final, settings)[1]
+        else:
+            dt = 0.0 if args.dt is None else args.dt
     except (oracle.IntegrationError, ValueError) as exc:
         return CommandResult("error", {"message": str(exc)}, str(exc))
     payload = {

@@ -19,11 +19,13 @@ import numpy as np
 
 from .config import PhysicalConfig
 from .operators import (
+    check_pauli_string,
     check_system_size,
     embed_factors,
     pair_sites,
     pauli,
     pauli_string,
+    z_diagonal,
 )
 from .tensor import FidelityReport, expm_pauli, identity, phase_fidelity
 from .timing import (
@@ -168,30 +170,44 @@ def _window_angle(
     return _float_angle(kind.knob_value(cfg) * timing.duration / divisor)
 
 
+def _diagonal_of(key: tuple, n: int) -> np.ndarray | None:
+    """diag(P) of a z-only Pauli string, None if it has an x or y; validates both."""
+    factors = dict(zip(*key))
+    if all(axis == "z" for axis in factors.values()):
+        return z_diagonal(factors, n)
+    check_pauli_string(factors, n)
+    return None
+
+
 def program_matrix(program: PulseProgram) -> np.ndarray:
     """Replay a pulse program: time-ordered segments compose right-to-left.
 
-    Each distinct Pauli string is built once per call. A segment whose
-    string is diagonal (a scalar phase, z or zz) is the phase vector
-    cos(a) + i sin(a) diag(P); a run of them is merged into one vector that
-    scales the rows of U before the next x/y segment and once at the end.
-    Every other segment goes through ``expm_pauli`` and one dense product.
+    A diagonal segment (a scalar phase, z or zz) adds angle·diag(P) to a
+    real phase-angle vector θ, with diag(P) from ``z_diagonal``. θ scales
+    the rows of U as exp(iθ) before the next x/y segment and once at the
+    end. An x/y segment with angle exactly 0 is the identity: it is
+    validated and skipped. Every other segment goes through ``expm_pauli``
+    and one dense product. Each distinct segment string is validated, and
+    each dense one built, once per call.
     """
-    dim = 2**program.n
+    n = program.n
+    diagonals: dict[tuple, np.ndarray | None] = {}
     strings: dict[tuple, np.ndarray] = {}
-    u = identity(dim)
-    phases = np.ones(dim, dtype=complex)
+    u = identity(2**n)
+    theta = np.zeros(2**n)
     for seg in program.segments:
         key = (seg.sites, seg.axes)
-        if key not in strings:
-            strings[key] = pauli_string(dict(zip(seg.sites, seg.axes)), program.n)
-        g = strings[key]
-        if all(axis == "z" for axis in seg.axes):
-            phases = (math.cos(seg.angle) + 1j * math.sin(seg.angle) * g.diagonal()) * phases
-        else:
-            u = expm_pauli(g, seg.angle) @ (phases[:, None] * u)
-            phases = np.ones(dim, dtype=complex)
-    return phases[:, None] * u
+        if key not in diagonals:
+            diagonals[key] = _diagonal_of(key, n)
+        diagonal = diagonals[key]
+        if diagonal is not None:
+            theta += seg.angle * diagonal
+        elif seg.angle != 0:
+            if key not in strings:
+                strings[key] = pauli_string(dict(zip(*key)), n)
+            u = expm_pauli(strings[key], seg.angle) @ (np.exp(1j * theta)[:, None] * u)
+            theta = np.zeros(2**n)
+    return np.exp(1j * theta)[:, None] * u
 
 
 def _u_phi_segments(

@@ -6,6 +6,9 @@ integer-angle gate formulas double angles explicitly instead.
 """
 from __future__ import annotations
 
+import functools
+from typing import Iterable
+
 import numpy as np
 
 from .tensor import as_matrix, kron
@@ -50,6 +53,12 @@ def _check_site(site: int, n: int) -> None:
         raise ValueError(f"site {site} outside 1..{n}")
 
 
+def _check_sites(sites: Iterable[int], n: int) -> None:
+    check_system_size(n)
+    for site in sites:
+        _check_site(site, n)
+
+
 def embed_factors(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Kronecker product with the given 2x2 matrix at each listed site.
 
@@ -57,9 +66,7 @@ def embed_factors(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
     get the identity. An empty mapping yields the full identity. The
     result is always a fresh array, never one of the factors.
     """
-    check_system_size(n)
-    for site in factors:
-        _check_site(site, n)
+    _check_sites(factors, n)
     out = as_matrix(factors.get(1, IDENTITY_2)).copy()
     for site in range(2, n + 1):
         out = kron(out, factors.get(site, IDENTITY_2))
@@ -73,6 +80,37 @@ def pauli_string(factors: dict[int, str], n: int) -> np.ndarray:
     the identity. An empty mapping yields the full identity.
     """
     return embed_factors({site: _sigma(axis) for site, axis in factors.items()}, n)
+
+
+def check_pauli_string(factors: dict[int, str], n: int) -> None:
+    """Raise the ValueError ``pauli_string(factors, n)`` raises, building nothing."""
+    for axis in factors.values():
+        _sigma(axis)
+    _check_sites(factors, n)
+
+
+def z_diagonal(sites: Iterable[int], n: int) -> np.ndarray:
+    """Diagonal of the z string on ``sites``: ±1 per basis state, read-only.
+
+    Entry b is (-1)^(number of listed sites whose bit of b is 1), site 1
+    being the most significant bit. Sites are validated as ``pauli_string``
+    validates them, and a repeated site counts once, as in
+    ``pauli_string(dict(zip(sites, axes)), n)``.
+    """
+    sites = tuple(sites)
+    _check_sites(sites, n)
+    return _z_diagonal(frozenset(sites), n)
+
+
+@functools.cache
+def _z_diagonal(sites: frozenset[int], n: int) -> np.ndarray:
+    index = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=np.int64)
+    for site in sites:
+        parity ^= (index >> (n - site)) & 1
+    diagonal = 1.0 - 2.0 * parity
+    diagonal.flags.writeable = False
+    return diagonal
 
 
 def embed_sigma(axis: str, site: int, n: int) -> np.ndarray:

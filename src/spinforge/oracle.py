@@ -206,6 +206,28 @@ def _step_count(t_final, dt):
     return max(1, math.ceil(ratio * (1 - 1e-12)))
 
 
+def step_plan(
+    t_final: float, settings: IntegrationSettings | None = None
+) -> tuple[int, float]:
+    """The RK4 step count and step length that cover t_final > 0.
+
+    The step is t_final / n_steps, at most ``settings.dt``; without
+    settings the requested step is t_final / 10000.
+    """
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+    if settings is None:
+        default_dt = t_final / 10_000
+        if default_dt == 0:
+            raise ValueError(
+                f"t_final = {t_final!r} is too small for the default step "
+                "t_final / 10000, which underflows to 0; give dt explicitly"
+            )
+        settings = IntegrationSettings(dt=default_dt)
+    n_steps = _step_count(t_final, settings.dt)
+    return n_steps, t_final / n_steps
+
+
 def _integrate(cfg, n, psi0, t_final, settings, record=None):
     psi = require_normalized(psi0).astype(complex)
     if not math.isfinite(t_final):
@@ -216,16 +238,7 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
         record.append((0.0, psi.copy()))
     if t_final == 0:
         return psi
-    if settings is None:
-        default_dt = t_final / 10_000
-        if default_dt == 0:
-            raise ValueError(
-                f"t_final = {t_final!r} is too small for the default step "
-                "t_final / 10000, which underflows to 0; give dt explicitly"
-            )
-        settings = IntegrationSettings(dt=default_dt)
-    n_steps = _step_count(t_final, settings.dt)
-    dt = t_final / n_steps
+    n_steps, dt = step_plan(t_final, settings)
 
     step = 0
     for stacked in _window(cfg, n, n_steps, dt):

@@ -13,6 +13,7 @@ library and the CLI all resolve names the same way.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -392,6 +393,12 @@ class GateTable:
     windows: tuple[tuple[str, tuple[TimingConstraint, ...]], ...]
     totals: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
 
+    @functools.cached_property
+    def first_window(self) -> dict[str, str]:
+        """Each window label -> the first window label with equal constraints."""
+        first: dict[tuple[TimingConstraint, ...], str] = {}
+        return {label: first.setdefault(cons, label) for label, cons in self.windows}
+
 
 def _ccnot_table() -> GateTable:
     y = _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
@@ -731,7 +738,13 @@ def gate_timing_table(
     solutions: dict[str, TimingSolution] = {}
     derived: dict[str, dict[str, float]] = {}
     for label, constraints in table.windows:
-        if mode == DERIVE_CONSTANTS:
+        first = table.first_window[label]
+        if first != label:
+            sol = solutions[first]
+            solutions[label] = TimingSolution(label, sol.duration, sol.witnesses, sol.residual)
+            if first in derived:
+                derived[label] = dict(derived[first])
+        elif mode == DERIVE_CONSTANTS:
             sol, deltas = _derive_window(label, constraints, cfg)
             solutions[label] = sol
             if deltas:

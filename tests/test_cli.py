@@ -279,6 +279,22 @@ class TestSimulate:
         assert path.exists()
         assert path.read_text().startswith("t,re_0,im_0")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-final", "1", "--dt", "0.15"], ["--t-final", "2.5"], ["--t-final", "0.3", "--dt", "0.1"]],
+        ids=["uneven", "default", "even"],
+    )
+    def test_reported_dt_is_the_trajectory_spacing(self, capsys, tmp_path, flags):
+        path = tmp_path / "traj.csv"
+        argv = ["simulate", "--n", "1", "--psi0", "0", *flags, "--natural-units", "--json"]
+        code, out = run_cli(capsys, *argv, "--trajectory", str(path))
+        assert code == 0
+        times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+        dt = payload_from(out)["payload"]["dt"]
+        assert dt == pytest.approx(times[1] - times[0], rel=1e-12)
+        assert np.allclose(np.diff(times), dt, rtol=1e-9, atol=0)
+        assert times[-1] == pytest.approx(float(flags[1]), rel=1e-12)
+
     def test_bad_psi0_errors(self, capsys):
         code, out = run_cli(
             capsys,

@@ -1,12 +1,14 @@
 """Tests for gate synthesis: both layers, their agreement, and compositions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinforge.gates as gates_module
 from spinforge.config import PhysicalConfig
 from spinforge.gates import (
     AUDIT_SPECS_3Q,
@@ -49,6 +51,7 @@ from spinforge.tensor import (
 )
 from spinforge.timing import (
     ADJOINT_BASE,
+    COMPONENT_PARENT_GATE,
     COMPONENT_TABLE,
     GATE_KINDS,
     WHOLE_GATES,
@@ -564,3 +567,45 @@ class TestProgramMatrixReference:
         for name, (table, build_program, _) in GATE_REGISTRY.items():
             program = build_program(gate_timing_table(table, CFG))
             assert np.max(np.abs(program_matrix(program) - literal_product(program))) <= 1e-12
+
+    def test_every_component_matches_literal_product(self):
+        for n, base, control, target in COMPONENT_TABLE:
+            schedule = gate_timing_table(COMPONENT_PARENT_GATE[n], CFG)
+            kinds = [base] + [k for k, b in ADJOINT_BASE.items() if b == base]
+            for kind in kinds:
+                program = component_program(GateSpec(kind, control, target, n), schedule)
+                assert np.max(np.abs(program_matrix(program) - literal_product(program))) <= 1e-12
+
+    @given(program=pulse_programs(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_zero_angle_dense_segment_leaves_u_unchanged(self, program, data):
+        n = program.n
+        zero = PulseSegment((data.draw(st.integers(1, n)),), (data.draw(st.sampled_from("xy")),), 0.0)
+        at = data.draw(st.integers(0, len(program.segments)))
+        segments = program.segments[:at] + (zero,) + program.segments[at:]
+        padded = PulseProgram("padded", n, segments, 1.0)
+        assert np.array_equal(program_matrix(padded), program_matrix(program))
+
+    def test_zero_angle_dense_segment_builds_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gates_module, "expm_pauli", lambda *a: calls.append(a))
+        monkeypatch.setattr(gates_module, "pauli_string", lambda *a: calls.append(a))
+        segments = (PulseSegment((1,), ("x",), 0.0), PulseSegment((2,), ("y",), -0.0))
+        u = program_matrix(PulseProgram("idle", 2, segments, 1.0))
+        assert calls == []
+        assert np.array_equal(u, identity(4))
+
+    @pytest.mark.parametrize(
+        "segment, message",
+        [
+            (PulseSegment((1,), ("w",), 0.0), "unknown Pauli axis 'w'"),
+            (PulseSegment((1, 2), ("x", "q"), 0.0), "unknown Pauli axis 'q'"),
+            (PulseSegment((3,), ("x",), 0.0), "site 3 outside 1..2"),
+            (PulseSegment((3,), ("z",), 0.0), "site 3 outside 1..2"),
+        ],
+        ids=["axis", "mixed-axis", "dense-site", "diagonal-site"],
+    )
+    def test_zero_angle_bad_segment_still_raises(self, segment, message):
+        program = PulseProgram("bad", 2, (PulseSegment((1,), ("x",), 0.1), segment), 1.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            program_matrix(program)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinforge.operators import (
+    check_pauli_string,
     embed_pair_zz,
     embed_single,
     embed_sigma,
@@ -15,6 +16,7 @@ from spinforge.operators import (
     pauli_string,
     spin,
     total_spin,
+    z_diagonal,
 )
 from spinforge.tensor import hermiticity_defect, unitarity_defect
 
@@ -163,3 +165,49 @@ class TestPauliString:
         out[0, 1] = 42
         assert np.array_equal(pauli("x"), [[0, 1], [1, 0]])
         assert np.array_equal(pauli_string({1: "x"}, 1), [[0, 1], [1, 0]])
+
+
+class TestZDiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_pauli_string_for_every_site_subset(self, n):
+        for size in range(n + 1):
+            for sites in itertools.combinations(range(1, n + 1), size):
+                expected = pauli_string(dict.fromkeys(sites, "z"), n).diagonal()
+                assert np.array_equal(z_diagonal(sites, n), expected), sites
+
+    def test_repeated_site_counts_once(self):
+        expected = pauli_string(dict(zip((2, 2, 3), "zzz")), 3).diagonal()
+        assert np.array_equal(z_diagonal((2, 2, 3), 3), expected)
+
+    def test_result_is_read_only(self):
+        diagonal = z_diagonal((1,), 2)
+        with pytest.raises(ValueError):
+            diagonal[0] = 5.0
+        assert np.array_equal(z_diagonal((1,), 2), [1, 1, -1, -1])
+
+    @pytest.mark.parametrize(
+        "sites, n",
+        [((0,), 2), ((3,), 2), ((1, 5), 4), ((-1,), 1), ((1,), 0), ((1,), 5), ((), 9)],
+    )
+    def test_rejects_what_pauli_string_rejects(self, sites, n):
+        with pytest.raises(ValueError) as expected:
+            pauli_string(dict.fromkeys(sites, "z"), n)
+        with pytest.raises(ValueError) as got:
+            z_diagonal(sites, n)
+        assert str(got.value) == str(expected.value)
+
+
+class TestCheckPauliString:
+    @pytest.mark.parametrize(
+        "factors, n",
+        [({1: "w"}, 2), ({3: "x"}, 2), ({1: "x"}, 0), ({5: "q"}, 2), ({1: "y", 2: ""}, 2)],
+    )
+    def test_raises_what_pauli_string_raises(self, factors, n):
+        with pytest.raises(ValueError) as expected:
+            pauli_string(factors, n)
+        with pytest.raises(ValueError) as got:
+            check_pauli_string(factors, n)
+        assert str(got.value) == str(expected.value)
+
+    def test_accepts_a_valid_string(self):
+        assert check_pauli_string({1: "x", 3: "y"}, 3) is None

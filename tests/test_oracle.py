@@ -624,6 +624,25 @@ class TestStepCount:
     def test_a_span_shorter_than_dt_takes_one_step(self):
         assert oracle._step_count(0.004, 0.01) == 1
 
+    @pytest.mark.parametrize(
+        "t_final, settings, plan",
+        [
+            (1.0, IntegrationSettings(0.15), (7, 1 / 7)),
+            (2.5, None, (10_000, 2.5 / 10_000)),
+            (0.004, IntegrationSettings(0.01), (1, 0.004)),
+        ],
+    )
+    def test_step_plan_is_the_trajectory_the_oracle_takes(self, t_final, settings, plan):
+        assert oracle.step_plan(t_final, settings) == plan
+        times, _ = integrate_lab_trajectory(CFG_DRIVEN, 1, basis_state(1, "0"), t_final, settings)
+        assert len(times) == plan[0] + 1
+        assert times[1] == plan[1]
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, math.nan, math.inf])
+    def test_step_plan_needs_a_positive_finite_span(self, t_final):
+        with pytest.raises(ValueError, match="t_final must be finite and > 0"):
+            oracle.step_plan(t_final)
+
 
 # ---------------------------------------------------------------------------
 # Step maps from the Fourier expansion of R - I in the drive phase

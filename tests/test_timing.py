@@ -4,14 +4,16 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spinforge import timing
 from spinforge.cli import main
-from spinforge.config import PhysicalConfig
+from spinforge.config import GAMMA_ELECTRON, PhysicalConfig
 from spinforge.timing import (
     RATIO_MAX_DEN,
     RATIO_TOL,
@@ -328,6 +330,55 @@ class TestGateTables:
         cfg = PhysicalConfig.natural_units(omega=1.5)
         with pytest.raises(ValueError, match="resonance"):
             gate_timing_table("cz", cfg)
+
+
+class TestRepeatedWindows:
+    """Windows with equal constraints are derived once and relabelled."""
+
+    @pytest.mark.parametrize("gate, distinct", [("ccnot", 4), ("cccnot", 4), ("cnot", 2)])
+    def test_each_distinct_window_is_derived_once(self, monkeypatch, gate, distinct):
+        calls = []
+        derive = timing._derive_window
+
+        def counted(label, constraints, cfg):
+            calls.append(label)
+            return derive(label, constraints, cfg)
+
+        monkeypatch.setattr(timing, "_derive_window", counted)
+        gate_timing_table(gate, PhysicalConfig.natural_units())
+        assert len(calls) == distinct
+
+    @pytest.mark.parametrize("gate", ["ccnot", "cccnot"])
+    @pytest.mark.parametrize(
+        "mode, cfg",
+        [
+            ("derive-constants", PhysicalConfig.natural_units()),
+            ("derive-constants", PhysicalConfig(b0=0.3, omega=GAMMA_ELECTRON * 0.3)),
+            ("shared-constants", PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5)),
+        ],
+        ids=["derive-natural", "derive-si", "shared"],
+    )
+    def test_repeats_equal_their_first_window_but_for_the_label(self, gate, mode, cfg):
+        sched = gate_timing_table(gate, cfg, mode=mode)
+        first = {}
+        for label, constraints in timing.GATE_TABLES[gate].windows:
+            sol = sched.solutions[label]
+            assert sol.label == label
+            origin = first.setdefault(constraints, label)
+            assert sol == replace(sched.solutions[origin], label=label)
+            assert sched.derived.get(label) == sched.derived.get(origin)
+        assert len(first) < len(timing.GATE_TABLES[gate].windows)
+
+    @pytest.mark.parametrize("gate", ["ccnot", "cccnot"])
+    def test_derived_dicts_are_independent(self, gate):
+        sched = gate_timing_table(gate, PhysicalConfig.natural_units())
+        before = {label: dict(d) for label, d in sched.derived.items()}
+        for label in sched.derived:
+            sched.derived[label]["j"] = -1.0
+            for other, deltas in sched.derived.items():
+                if other != label:
+                    assert deltas == before[other], (label, other)
+            sched.derived[label]["j"] = before[label]["j"]
 
 
 class TestScheduleExport:
