@@ -226,9 +226,10 @@ def _verify_diagonal_window(gate, cfg, checks, use_oracle):
         )
 
 
-def _verify_composed(gate, n, cfg, checks):
-    sequence = gates.CCNOT_SEQUENCE if n == 3 else gates.CCCNOT_SEQUENCE
-    target = gates.canonical_toffoli(n)
+def _verify_composed(gate, pulses, checks):
+    """Check a circuit's ideal and pulse layers against the canonical Toffoli."""
+    sequence = gates.CIRCUITS[gate]
+    target = gates.canonical_toffoli(sequence[0].n)
     ideal_prod = gates.ideal_sequence_product(sequence)
     dev_ideal = float(np.max(np.abs(ideal_prod - target)))
     checks.append(
@@ -238,8 +239,8 @@ def _verify_composed(gate, n, cfg, checks):
             f"max_dev={dev_ideal:.2e}",
         )
     )
-    build = gates.build_gate(gate, cfg)
-    dev_pulse = float(np.max(np.abs(build.pulse - target)))
+    pulse = gates.sequence_pulse(sequence, pulses)
+    dev_pulse = float(np.max(np.abs(pulse - target)))
     checks.append(
         _check(
             f"{gate}: pulse-layer product vs canonical target",
@@ -247,14 +248,14 @@ def _verify_composed(gate, n, cfg, checks):
             f"max_dev={dev_pulse:.2e}",
         )
     )
-    udef = unitarity_defect(build.pulse)
+    udef = unitarity_defect(pulse)
     checks.append(
         _check(f"{gate}: pulse product unitary", udef <= EXACT_TOL, f"defect={udef:.2e}")
     )
 
 
-def _verify_audit(cfg, checks):
-    reports = gates.audit_components(cfg)
+def _verify_audit(pulses, checks):
+    reports = gates.component_reports(pulses)
     flagged = gates.flagged_components(reports)
     checks.append(
         _check(
@@ -318,12 +319,14 @@ def cmd_verify(args) -> CommandResult:
             _verify_diagonal_window("cz", cfg, checks, args.oracle)
         if scope in ("cnot", "all"):
             _verify_diagonal_window("cnot", cfg, checks, args.oracle)
-        if scope in ("ccnot", "all"):
-            _verify_composed("ccnot", 3, cfg, checks)
-        if scope in ("cccnot", "all"):
-            _verify_composed("cccnot", 4, cfg, checks)
         if scope in ("ccnot", "cccnot", "all"):
-            reports = _verify_audit(cfg, checks)
+            # One replay of each distinct component serves both the circuit
+            # products and the audit.
+            pulses = gates.circuit_component_pulses(cfg)
+            for gate in gates.CIRCUITS:
+                if scope in (gate, "all"):
+                    _verify_composed(gate, pulses, checks)
+            reports = _verify_audit(pulses, checks)
             payload["components"] = [r.to_json_dict() for r in reports]
         if scope == "all" or args.oracle:
             _verify_oracle_basics(cfg, checks)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,24 @@ _FILE_KEYS = {
     "j": "j_coupling",
     "b_prime": "b_prime",
 }
+
+
+def _builder_stacklevel() -> int:
+    """``stacklevel`` that makes a warning from ``__post_init__`` name the
+    line that built the config.
+
+    It walks past this module, ``dataclasses`` (``replace``) and the
+    generated ``__init__``, whose code has the file name ``<string>``.
+    """
+    internal = {__file__, dataclasses.__file__}
+    frame, level = sys._getframe(1), 1  # level 1 is the frame that warns
+    while frame is not None:
+        code = frame.f_code
+        generated = code.co_filename == "<string>" and code.co_name == "__init__"
+        if code.co_filename not in internal and not generated:
+            break
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -60,7 +79,7 @@ class PhysicalConfig:
             warnings.warn(
                 f"b1={self.b1} is not small against b0={self.b0}; "
                 "the weak-drive regime is assumed, not enforced",
-                stacklevel=2,
+                stacklevel=_builder_stacklevel(),
             )
 
     @property

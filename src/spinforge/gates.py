@@ -142,10 +142,13 @@ def _sigma_angle(phase_over_pi: Fraction | None, divisor: int) -> float | None:
     """
     if phase_over_pi is None:
         return None
-    frac = (phase_over_pi / divisor) % 2
-    if frac > 1:
-        frac -= 2
-    return float(frac) * math.pi
+    # Integer reduction of num/den mod 2; int/int true division rounds
+    # correctly, as float(Fraction) does, so the angle is the same float.
+    den = phase_over_pi.denominator * divisor
+    num = phase_over_pi.numerator % (2 * den)
+    if num > den:
+        num -= 2 * den
+    return num / den * math.pi
 
 
 def _float_angle(phase_rad: float) -> float:
@@ -386,6 +389,17 @@ CCCNOT_SEQUENCE: tuple[GateSpec, ...] = (
 )
 
 
+# The distinct components of each circuit, in order of first use.
+AUDIT_SPECS_3Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCNOT_SEQUENCE))
+AUDIT_SPECS_4Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCCNOT_SEQUENCE))
+
+# Circuit gate name -> its component sequence, 3q before 4q.
+CIRCUITS: dict[str, tuple[GateSpec, ...]] = {
+    "ccnot": CCNOT_SEQUENCE,
+    "cccnot": CCCNOT_SEQUENCE,
+}
+
+
 def sequence_program(
     label: str, sequence: tuple[GateSpec, ...], schedule: GateSchedule
 ) -> PulseProgram:
@@ -396,9 +410,37 @@ def sequence_program(
     return PulseProgram(label, sequence[0].n, segments, schedule.totals["T"])
 
 
+def component_pulses(schedule: GateSchedule) -> dict[GateSpec, np.ndarray]:
+    """Pulse matrix of each distinct component of a ccnot or cccnot schedule.
+
+    Keys follow ``AUDIT_SPECS_3Q`` / ``AUDIT_SPECS_4Q`` order; each pulse
+    is one replay of its component program.
+    """
+    if schedule.gate not in CIRCUITS:
+        raise ValueError(
+            f"schedule is for {schedule.gate!r}, not a ccnot or cccnot circuit"
+        )
+    return {
+        spec: program_matrix(component_program(spec, schedule))
+        for spec in dict.fromkeys(CIRCUITS[schedule.gate])
+    }
+
+
+def sequence_pulse(
+    sequence: tuple[GateSpec, ...], pulses: dict[GateSpec, np.ndarray]
+) -> np.ndarray:
+    """Right-to-left product over a circuit's sequence, given each component's matrix."""
+    u = identity(2 ** sequence[0].n)
+    for spec in sequence:
+        u = pulses[spec] @ u
+    return u
+
+
 ProgramBuilder = Callable[[GateSchedule], PulseProgram]
 
 # Whole gate name -> (timing table, pulse program builder, ideal target).
+# The pulse of a circuit is the product of its component pulses
+# (``sequence_pulse``); its builder gives the same gate as one program.
 GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
     "not": ("not", not_program, GateSpec("not", n=1)),
     "cz": ("cz", cz_program, GateSpec("cz", 1, 2, 2)),
@@ -420,11 +462,14 @@ GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
 def _registered_pulse(
     name: str, cfg: PhysicalConfig | None, timings: GateSchedule | None
 ) -> np.ndarray:
+    """Pulse matrix of a whole gate; a circuit replays each distinct component once."""
     table, build_program, _ = GATE_REGISTRY[name]
     if timings is None:
         if cfg is None:
             cfg = PhysicalConfig.natural_units()
         timings = gate_timing_table(table, cfg)
+    if name in CIRCUITS:
+        return sequence_pulse(CIRCUITS[name], component_pulses(timings))
     return program_matrix(build_program(timings))
 
 
@@ -464,35 +509,40 @@ def compose_cccnot(
 
 
 def ideal_sequence_product(sequence) -> np.ndarray:
-    u = identity(2 ** sequence[0].n)
-    for spec in sequence:
-        u = ideal_component(spec) @ u
-    return u
+    """Product of the ideal components of a circuit; each distinct one is built once."""
+    ideals = {spec: ideal_component(spec) for spec in dict.fromkeys(sequence)}
+    return sequence_pulse(sequence, ideals)
 
 
 # ---------------------------------------------------------------------------
 # Pulse-vs-ideal audit
 # ---------------------------------------------------------------------------
 
-# The distinct components of each circuit, in order of first use.
-AUDIT_SPECS_3Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCNOT_SEQUENCE))
-AUDIT_SPECS_4Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCCNOT_SEQUENCE))
-
 AUDIT_FLAG_TOL = 1e-9
+
+
+def component_reports(pulses: dict[GateSpec, np.ndarray]) -> list[FidelityReport]:
+    """Fidelity report of each component pulse against its ideal target."""
+    return [
+        phase_fidelity(pulse, ideal_component(spec), gate_label=spec.label)
+        for spec, pulse in pulses.items()
+    ]
+
+
+def circuit_component_pulses(cfg: PhysicalConfig) -> dict[GateSpec, np.ndarray]:
+    """``component_pulses`` of the ccnot and then the cccnot schedule, each
+    derived once."""
+    pulses = {}
+    for gate in CIRCUITS:
+        pulses.update(component_pulses(gate_timing_table(gate, cfg)))
+    return pulses
 
 
 def audit_components(cfg: PhysicalConfig | None = None) -> list[FidelityReport]:
     """Fidelity report of every pulse component against its ideal target."""
     if cfg is None:
         cfg = PhysicalConfig.natural_units()
-    reports = []
-    for n, specs in ((3, AUDIT_SPECS_3Q), (4, AUDIT_SPECS_4Q)):
-        schedule = gate_timing_table(COMPONENT_PARENT_GATE[n], cfg)
-        for spec in specs:
-            pulse = pulse_component(spec, cfg, schedule)
-            ideal = ideal_component(spec)
-            reports.append(phase_fidelity(pulse, ideal, gate_label=spec.label))
-    return reports
+    return component_reports(circuit_component_pulses(cfg))
 
 
 def flagged_components(reports) -> list[FidelityReport]:
@@ -520,12 +570,12 @@ def build_gate(name: str, cfg: PhysicalConfig | None = None) -> GateBuild:
     parsed = parse_gate_name(name)
     if isinstance(parsed, GateSpec):
         schedule = gate_timing_table(COMPONENT_PARENT_GATE[parsed.n], cfg)
-        program, spec, label = component_program(parsed, schedule), parsed, parsed.label
+        pulse = program_matrix(component_program(parsed, schedule))
+        spec, label = parsed, parsed.label
     else:
-        table, build_program, spec = GATE_REGISTRY[parsed]
+        table, _, spec = GATE_REGISTRY[parsed]
         schedule = gate_timing_table(table, cfg)
-        program, label = build_program(schedule), parsed
-    pulse = program_matrix(program)
+        pulse, label = _registered_pulse(parsed, cfg, schedule), parsed
     ideal = ideal_component(spec)
     report = phase_fidelity(pulse, ideal, gate_label=label)
     return GateBuild(label, pulse, ideal, report, schedule)

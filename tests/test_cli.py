@@ -200,6 +200,92 @@ class TestVerify:
         assert all(row["fidelity"] >= 1 - 1e-12 for row in rows)
 
 
+def _composed_checks(gate):
+    return [
+        f"{gate}: ideal-layer circuit identity",
+        f"{gate}: pulse-layer product vs canonical target",
+        f"{gate}: pulse product unitary",
+    ]
+
+
+AUDIT_CHECKS = [
+    "components: fidelity report produced for every pulse component",
+    "components: no pulse component deviates from its ideal target",
+]
+
+VERIFY_CHECK_NAMES = {
+    "ccnot": _composed_checks("ccnot") + AUDIT_CHECKS,
+    "cccnot": _composed_checks("cccnot") + AUDIT_CHECKS,
+    "all": [
+        "not: composition equals -i*X",
+        "not: phase-invariant fidelity vs X",
+        "cz: pulse layer equals the canonical matrix",
+        "cnot: pulse layer equals the canonical matrix",
+        *_composed_checks("ccnot"),
+        *_composed_checks("cccnot"),
+        *AUDIT_CHECKS,
+        "oracle: rotated drive direction is constant",
+        "oracle: resonant pi pulse inverts the population",
+    ],
+}
+
+COMPONENT_LABELS = [
+    "cx_half(2,3)/3q", "cnot(1,2)/3q", "cx_neg_half(2,3)/3q", "cx_half(1,3)/3q",
+    "cx_quarter(1,4)/4q", "cnot(1,2)/4q", "cx_neg_quarter(2,4)/4q", "cx_quarter(2,4)/4q",
+    "cnot(2,3)/4q", "cx_neg_quarter(3,4)/4q", "cnot(1,3)/4q", "cx_quarter(3,4)/4q",
+]
+
+
+class TestVerifyPayloadPinned:
+    @pytest.mark.parametrize("units", [["--natural-units"], []], ids=["natural", "si"])
+    @pytest.mark.parametrize("scope", ["ccnot", "cccnot", "all"])
+    def test_checks_and_components(self, capsys, scope, units):
+        code, out = run_cli(capsys, "verify", scope, "--json", *units)
+        doc = json.loads(out)
+        checks = doc["payload"]["checks"]
+        assert code == 0
+        assert doc["status"] == "ok"
+        assert doc["payload"]["all_passed"] is True
+        assert [c["name"] for c in checks] == VERIFY_CHECK_NAMES[scope]
+        assert len(checks) == len(VERIFY_CHECK_NAMES[scope])
+        assert all(c["passed"] is True for c in checks)
+        assert [r["gate_label"] for r in doc["payload"]["components"]] == COMPONENT_LABELS
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestWorkPerCommand:
+    """Each parent schedule is derived, and each distinct component replayed, once."""
+
+    @pytest.mark.parametrize(
+        "argv, schedules, components",
+        [
+            (["verify", "ccnot"], 2, 12),
+            (["verify", "cccnot"], 2, 12),
+            (["verify", "all"], 5, 12),
+            (["build", "ccnot"], 1, 4),
+            (["build", "cccnot"], 1, 8),
+        ],
+        ids=lambda value: "-".join(value) if isinstance(value, list) else None,
+    )
+    def test_counts(self, capsys, monkeypatch, argv, schedules, components):
+        counts = {"gate_timing_table": 0, "component_program": 0}
+        for module in (cli, gates):
+            _count_calls(monkeypatch, module, "gate_timing_table", counts)
+        _count_calls(monkeypatch, gates, "component_program", counts)
+        code, _ = run_cli(capsys, *argv, "--natural-units")
+        assert code == 0
+        assert counts == {"gate_timing_table": schedules, "component_program": components}
+
+
 class TestSimulate:
     def test_pi_pulse(self, capsys):
         t_pi = math.pi / 0.05

@@ -71,6 +71,20 @@ class TestPhysicalConfig:
             warnings.simplefilter("error")
             PhysicalConfig.natural_units(b1=0.05)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PhysicalConfig(gamma=1.0, b0=1.0, omega=1.0, b1=0.5),
+            lambda: PhysicalConfig.natural_units(b1=0.5),
+            lambda: PhysicalConfig.natural_units().replace(b1=0.5),
+        ],
+        ids=["direct", "natural_units", "replace"],
+    )
+    def test_strong_drive_warning_names_the_building_line(self, build):
+        with pytest.warns(UserWarning, match="not small") as record:
+            build()
+        assert [w.filename for w in record] == [__file__]
+
     def test_replace_returns_new_value(self):
         cfg = PhysicalConfig.natural_units()
         other = cfg.replace(j_coupling=2.0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinforge.gates import (
     GATE_REGISTRY,
     GateSpec,
     _adjoint_program,
+    _sigma_angle,
     audit_components,
     build_gate,
     canonical_toffoli,
@@ -25,6 +27,8 @@ from spinforge.gates import (
     component_program,
     compose_ccnot,
     compose_cccnot,
+    component_pulses,
+    component_reports,
     controlled_x_power,
     controlled_z_2q,
     flagged_components,
@@ -36,6 +40,8 @@ from spinforge.gates import (
     parse_gate_name,
     program_matrix,
     pulse_component,
+    sequence_program,
+    sequence_pulse,
     u_phi,
     x_power,
 )
@@ -392,6 +398,88 @@ class TestCompositions:
         u = compose_cccnot(CFG, cccnot_schedule)
         assert np.allclose(u @ basis_state(4, "1110"), basis_state(4, "1111"), atol=1e-12)
         assert np.allclose(u @ basis_state(4, "1010"), basis_state(4, "1010"), atol=1e-12)
+
+
+SI_CFG = PhysicalConfig()  # an electron at resonance in 1 T
+
+
+class TestComponentPulses:
+    @pytest.mark.parametrize(
+        "gate, specs", [("ccnot", AUDIT_SPECS_3Q), ("cccnot", AUDIT_SPECS_4Q)]
+    )
+    def test_one_replay_per_distinct_component(self, gate, specs):
+        schedule = gate_timing_table(gate, CFG)
+        pulses = component_pulses(schedule)
+        assert list(pulses) == list(specs)
+        for spec, pulse in pulses.items():
+            assert np.array_equal(pulse, pulse_component(spec, CFG, schedule))
+
+    def test_other_schedules_rejected(self, cz_schedule):
+        with pytest.raises(ValueError, match="not a ccnot or cccnot circuit"):
+            component_pulses(cz_schedule)
+
+    def test_sequence_pulse_is_the_right_to_left_product(self, ccnot_schedule):
+        pulses = component_pulses(ccnot_schedule)
+        expected = identity(8)
+        for spec in CCNOT_SEQUENCE:
+            expected = pulses[spec] @ expected
+        assert np.array_equal(sequence_pulse(CCNOT_SEQUENCE, pulses), expected)
+
+    @pytest.mark.parametrize("cfg", [CFG, SI_CFG], ids=["natural", "si"])
+    @pytest.mark.parametrize(
+        "compose, label, sequence",
+        [
+            (compose_ccnot, "ccnot/3q", CCNOT_SEQUENCE),
+            (compose_cccnot, "cccnot/4q", CCCNOT_SEQUENCE),
+        ],
+        ids=["ccnot", "cccnot"],
+    )
+    def test_composed_gate_matches_the_literal_replay(self, cfg, compose, label, sequence):
+        schedule = gate_timing_table(label.split("/")[0], cfg)
+        replayed = program_matrix(sequence_program(label, sequence, schedule))
+        assert np.max(np.abs(compose(cfg, schedule) - replayed)) <= 1e-13
+
+    def test_component_reports_follow_the_pulses(self, cccnot_schedule):
+        pulses = component_pulses(cccnot_schedule)
+        reports = component_reports(pulses)
+        assert [r.gate_label for r in reports] == [spec.label for spec in pulses]
+        assert flagged_components(reports) == []
+
+
+def reference_sigma_angle(phase, divisor):
+    """The Fraction-arithmetic reduction of phase/divisor to (-1, 1], times pi."""
+    frac = (phase / divisor) % 2
+    if frac > 1:
+        frac -= 2
+    return float(frac) * math.pi
+
+
+class TestSigmaAngle:
+    @given(phase=st.fractions(), divisor=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_reference_bitwise(self, phase, divisor):
+        assert _sigma_angle(phase, divisor).hex() == reference_sigma_angle(phase, divisor).hex()
+
+    @pytest.mark.parametrize(
+        "phase, divisor, expected",
+        [
+            (0, 1, 0.0),
+            (1, 1, math.pi),
+            (-1, 1, math.pi),
+            (2, 1, 0.0),
+            (-2, 1, 0.0),
+            (2, 2, math.pi),
+            (-2, 2, math.pi),
+            (-2, 4, -math.pi / 2),
+        ],
+    )
+    def test_edges(self, phase, divisor, expected):
+        got = _sigma_angle(Fraction(phase), divisor)
+        assert got.hex() == expected.hex()  # +0.0, never -0.0
+        assert got.hex() == reference_sigma_angle(Fraction(phase), divisor).hex()
+
+    def test_no_witness_gives_none(self):
+        assert _sigma_angle(None, 2) is None
 
 
 class TestAudit:
