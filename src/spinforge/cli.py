@@ -22,10 +22,12 @@ from .config import PhysicalConfig, resolve_config
 from .operators import pauli
 from .tensor import basis_state, matrix_to_json, unitarity_defect
 from .timing import (
+    DEFAULT_SEARCH_BOUND,
     DERIVE_CONSTANTS,
     SHARED_CONSTANTS,
     ScheduleInfeasibleError,
     gate_timing_table,
+    parse_gate_name,
 )
 
 EXACT_TOL = 1e-12
@@ -145,10 +147,9 @@ def cmd_build(args) -> CommandResult:
 
 def cmd_schedule(args) -> CommandResult:
     cfg = _config_from_args(args)
-    mode = SHARED_CONSTANTS if args.mode == "shared-constants" else DERIVE_CONSTANTS
     try:
         schedule = gate_timing_table(
-            args.gate, cfg, mode=mode, search_bound=args.search_bound
+            args.gate, cfg, mode=args.mode, search_bound=args.search_bound
         )
     except ScheduleInfeasibleError as exc:
         return CommandResult("infeasible", {"message": str(exc)}, f"infeasible: {exc}")
@@ -167,12 +168,31 @@ def cmd_schedule(args) -> CommandResult:
     return CommandResult("ok", payload, summary)
 
 
-def _verify_oracle_window(name, n, build, checks):
+# Whole gates checked by ``verify all``, in order.
+VERIFY_ALL = ("not", "cz", "cnot", "ccnot", "cccnot")
+
+_WINDOW_CLAIM = "lab-frame window matches the evolution operator (offset phase applied)"
+
+# Gates whose t1 window --oracle integrates in the lab frame, with the claim.
+_ORACLE_WINDOWS = {
+    "not": "lab-frame integration reproduces the drive window",
+    "cz": _WINDOW_CLAIM,
+    "cnot": _WINDOW_CLAIM,
+}
+
+
+def _max_dev_check(name: str, got, target, tol: float = EXACT_TOL) -> dict:
+    dev = float(np.max(np.abs(got - target)))
+    return _check(name, dev <= tol, f"max_dev={dev:.2e}")
+
+
+def _verify_oracle_window(name, build, checks):
     """Integrate window t1 in the lab frame and compare it with u_phi.
 
     u_phi carries the reference-offset phase exp(-i B' t), which the lab
     Hamiltonian does not, so the integrated window takes it on first.
     """
+    n = int(math.log2(len(build.pulse)))
     sched = build.schedule
     window_cfg = sched.window_config("t1")
     duration = sched.solutions["t1"].duration
@@ -180,74 +200,45 @@ def _verify_oracle_window(name, n, build, checks):
     u_lab = oracle.lab_propagator(window_cfg, n, duration, settings)
     u_gate = gates.u_phi(n, sched.solutions["t1"], window_cfg)
     phased = np.exp(-1j * window_cfg.b_prime * duration) * u_lab
-    dev = float(np.max(np.abs(phased - u_gate)))
-    checks.append(_check(name, dev <= ORACLE_TOL, f"max_dev={dev:.2e}"))
+    checks.append(_max_dev_check(name, phased, u_gate, ORACLE_TOL))
 
 
-def _verify_not(cfg, checks, use_oracle):
-    build = gates.build_gate("not", cfg)
-    target = -1j * pauli("x")
-    dev = float(np.max(np.abs(build.pulse - target)))
-    checks.append(
-        _check("not: composition equals -i*X", dev <= EXACT_TOL, f"max_dev={dev:.2e}")
-    )
-    r = build.report
-    phase_ok = abs(r.global_phase_rad + math.pi / 2) <= EXACT_TOL
-    checks.append(
-        _check(
-            "not: phase-invariant fidelity vs X",
-            r.fidelity >= 1 - EXACT_TOL and phase_ok,
-            f"F={r.fidelity:.15f} phase={r.global_phase_rad:+.12f}",
-        )
-    )
-    if use_oracle:
-        _verify_oracle_window(
-            "not: lab-frame integration reproduces the drive window", 1, build, checks
-        )
+def _verify_gate(name, cfg, checks, use_oracle):
+    """Check a gate's pulse layer against its exact target, with phase 0.
 
-
-def _verify_diagonal_window(gate, cfg, checks, use_oracle):
-    build = gates.build_gate(gate, cfg)
-    dev = float(np.max(np.abs(build.pulse - build.ideal)))
-    checks.append(
-        _check(
-            f"{gate}: pulse layer equals the canonical matrix",
-            dev <= EXACT_TOL,
-            f"max_dev={dev:.2e}",
+    The NOT pulse is -i*X, so NOT is also checked phase-invariantly
+    against X.
+    """
+    build = gates.build_gate(name, cfg)
+    label, r = build.label, build.report
+    if label == "not":
+        checks.append(
+            _max_dev_check("not: composition equals -i*X", build.pulse, -1j * pauli("x"))
         )
-    )
-    if use_oracle:
-        _verify_oracle_window(
-            f"{gate}: lab-frame window matches the evolution operator "
-            "(offset phase applied)",
-            2,
-            build,
-            checks,
+        phase_ok = abs(r.global_phase_rad + math.pi / 2) <= EXACT_TOL
+        checks.append(
+            _check(
+                "not: phase-invariant fidelity vs X",
+                r.fidelity >= 1 - EXACT_TOL and phase_ok,
+                f"F={r.fidelity:.15f} phase={r.global_phase_rad:+.12f}",
+            )
         )
+    else:
+        claim = f"{label}: pulse layer equals the canonical matrix"
+        checks.append(_max_dev_check(claim, build.pulse, build.ideal))
+    if use_oracle and label in _ORACLE_WINDOWS:
+        _verify_oracle_window(f"{label}: {_ORACLE_WINDOWS[label]}", build, checks)
 
 
 def _verify_composed(gate, pulses, checks):
     """Check a circuit's ideal and pulse layers against the canonical Toffoli."""
     sequence = gates.CIRCUITS[gate]
     target = gates.canonical_toffoli(sequence[0].n)
-    ideal_prod = gates.ideal_sequence_product(sequence)
-    dev_ideal = float(np.max(np.abs(ideal_prod - target)))
-    checks.append(
-        _check(
-            f"{gate}: ideal-layer circuit identity",
-            dev_ideal <= EXACT_TOL,
-            f"max_dev={dev_ideal:.2e}",
-        )
-    )
+    ideal = gates.ideal_sequence_product(sequence)
+    checks.append(_max_dev_check(f"{gate}: ideal-layer circuit identity", ideal, target))
     pulse = gates.sequence_pulse(sequence, pulses)
-    dev_pulse = float(np.max(np.abs(pulse - target)))
-    checks.append(
-        _check(
-            f"{gate}: pulse-layer product vs canonical target",
-            dev_pulse <= EXACT_TOL,
-            f"max_dev={dev_pulse:.2e}",
-        )
-    )
+    claim = f"{gate}: pulse-layer product vs canonical target"
+    checks.append(_max_dev_check(claim, pulse, target))
     udef = unitarity_defect(pulse)
     checks.append(
         _check(f"{gate}: pulse product unitary", udef <= EXACT_TOL, f"defect={udef:.2e}")
@@ -303,29 +294,26 @@ def _verify_oracle_basics(cfg, checks):
 def cmd_verify(args) -> CommandResult:
     cfg = _config_from_args(args)
     scope = args.scope.strip().lower()
-    known = ("not", "cz", "cnot", "ccnot", "cccnot", "all")
-    if scope not in known:
-        return CommandResult(
-            "error",
-            {"message": f"unknown scope {args.scope!r}; expected one of {known}"},
-            f"unknown scope {args.scope!r}",
-        )
+    if scope != "all":
+        try:
+            parse_gate_name(scope)
+        except ValueError as exc:
+            message = f"unknown scope {args.scope!r}; expected 'all' or a gate name ({exc})"
+            return CommandResult("error", {"message": message}, message)
     checks: list[dict] = []
     payload: dict = {"scope": scope}
+    pulses = None
     try:
-        if scope in ("not", "all"):
-            _verify_not(cfg, checks, args.oracle)
-        if scope in ("cz", "all"):
-            _verify_diagonal_window("cz", cfg, checks, args.oracle)
-        if scope in ("cnot", "all"):
-            _verify_diagonal_window("cnot", cfg, checks, args.oracle)
-        if scope in ("ccnot", "cccnot", "all"):
-            # One replay of each distinct component serves both the circuit
-            # products and the audit.
-            pulses = gates.circuit_component_pulses(cfg)
-            for gate in gates.CIRCUITS:
-                if scope in (gate, "all"):
-                    _verify_composed(gate, pulses, checks)
+        for name in VERIFY_ALL if scope == "all" else (scope,):
+            if name not in gates.CIRCUITS:
+                _verify_gate(name, cfg, checks, args.oracle)
+                continue
+            if pulses is None:
+                # One replay of each distinct component serves both circuit
+                # products and the audit.
+                pulses = gates.circuit_component_pulses(cfg)
+            _verify_composed(name, pulses, checks)
+        if pulses is not None:
             reports = _verify_audit(pulses, checks)
             payload["components"] = [r.to_json_dict() for r in reports]
         if scope == "all" or args.oracle:
@@ -392,7 +380,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a gate and compare both layers")
-    p_build.add_argument("gate", help="not|cz|cnot|ccnot|cccnot or kind:c,t[@n]")
+    p_build.add_argument(
+        "gate", help="not|cz|cnot|hadamard_like|ccnot|cccnot or kind:c,t[@n]"
+    )
     _add_config_flags(p_build)
 
     p_sched = sub.add_parser("schedule", help="emit the timing table of a gate")
@@ -403,11 +393,13 @@ def make_parser() -> argparse.ArgumentParser:
         default=DERIVE_CONSTANTS,
     )
     p_sched.add_argument("--csv", action="store_true", help="print the CSV table")
-    p_sched.add_argument("--search-bound", type=int, default=50)
+    p_sched.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
     _add_config_flags(p_sched)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
-    p_verify.add_argument("scope", help="gate name or 'all'")
+    p_verify.add_argument(
+        "scope", help="'all' or a gate: not|cz|cnot|hadamard_like|ccnot|cccnot or kind:c,t[@n]"
+    )
     p_verify.add_argument(
         "--oracle",
         action="store_true",

@@ -97,6 +97,15 @@ class PhysicalConfig:
     def replace(self, **changes) -> "PhysicalConfig":
         return dataclasses.replace(self, **changes)
 
+    def with_derived(self, deltas: dict[str, float]) -> "PhysicalConfig":
+        """This config with constants the program derived, keyed as in config files.
+
+        A derived b1 raises no weak-drive warning: the user did not choose it.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return self.replace(**{_FILE_KEYS[key]: v for key, v in deltas.items()})
+
     def to_json_dict(self) -> dict:
         return {
             "gamma": self.gamma,

@@ -603,15 +603,8 @@ class GateSchedule:
 
     def window_config(self, label: str) -> PhysicalConfig:
         """Config with this window's derived constants applied."""
-        deltas = self.derived.get(label, {})
-        changes = {}
-        if "j" in deltas:
-            changes["j_coupling"] = deltas["j"]
-        if "b_prime" in deltas:
-            changes["b_prime"] = deltas["b_prime"]
-        if "b1" in deltas:
-            changes["b1"] = deltas["b1"]
-        return self.cfg.replace(**changes) if changes else self.cfg
+        deltas = self.derived.get(label)
+        return self.cfg.with_derived(deltas) if deltas else self.cfg
 
     def to_json_dict(self) -> dict:
         windows = []

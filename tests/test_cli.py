@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import spinforge
 from spinforge import cli, gates
 from spinforge.cli import main
 from spinforge.tensor import FidelityReport, matrix_from_json
+from spinforge.timing import ADJOINT_BASE, COMPONENT_TABLE, GATE_KINDS, parse_gate_name
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +175,8 @@ class TestVerify:
     def test_unknown_scope_errors(self, capsys):
         code, out = run_cli(capsys, "verify", "everything", "--natural-units")
         assert code == 3
+        assert out.startswith("unknown scope 'everything'; expected 'all' or a gate name (")
+        assert "or a component like 'cx_half:2,3'" in out
 
     @pytest.mark.parametrize("scope", ["not", "cnot"])
     def test_oracle_window_with_a_reference_offset(self, capsys, scope):
@@ -208,25 +212,49 @@ def _composed_checks(gate):
     ]
 
 
+def _exact_check(label):
+    return f"{label}: pulse layer equals the canonical matrix"
+
+
+def _window_check(gate):
+    return f"{gate}: lab-frame window matches the evolution operator (offset phase applied)"
+
+
 AUDIT_CHECKS = [
     "components: fidelity report produced for every pulse component",
     "components: no pulse component deviates from its ideal target",
 ]
 
+NOT_CHECKS = ["not: composition equals -i*X", "not: phase-invariant fidelity vs X"]
+
+ORACLE_BASICS = [
+    "oracle: rotated drive direction is constant",
+    "oracle: resonant pi pulse inverts the population",
+]
+
 VERIFY_CHECK_NAMES = {
+    "not": NOT_CHECKS,
+    "cz": [_exact_check("cz")],
+    "cnot": [_exact_check("cnot")],
     "ccnot": _composed_checks("ccnot") + AUDIT_CHECKS,
     "cccnot": _composed_checks("cccnot") + AUDIT_CHECKS,
     "all": [
-        "not: composition equals -i*X",
-        "not: phase-invariant fidelity vs X",
-        "cz: pulse layer equals the canonical matrix",
-        "cnot: pulse layer equals the canonical matrix",
+        *NOT_CHECKS,
+        _exact_check("cz"),
+        _exact_check("cnot"),
         *_composed_checks("ccnot"),
         *_composed_checks("cccnot"),
         *AUDIT_CHECKS,
-        "oracle: rotated drive direction is constant",
-        "oracle: resonant pi pulse inverts the population",
+        *ORACLE_BASICS,
     ],
+    "not --oracle": [
+        *NOT_CHECKS,
+        "not: lab-frame integration reproduces the drive window",
+        *ORACLE_BASICS,
+    ],
+    "cz --oracle": [_exact_check("cz"), _window_check("cz"), *ORACLE_BASICS],
+    "cnot --oracle": [_exact_check("cnot"), _window_check("cnot"), *ORACLE_BASICS],
+    "ccnot --oracle": _composed_checks("ccnot") + AUDIT_CHECKS + ORACLE_BASICS,
 }
 
 COMPONENT_LABELS = [
@@ -238,18 +266,110 @@ COMPONENT_LABELS = [
 
 class TestVerifyPayloadPinned:
     @pytest.mark.parametrize("units", [["--natural-units"], []], ids=["natural", "si"])
-    @pytest.mark.parametrize("scope", ["ccnot", "cccnot", "all"])
+    @pytest.mark.parametrize("scope", list(VERIFY_CHECK_NAMES))
     def test_checks_and_components(self, capsys, scope, units):
-        code, out = run_cli(capsys, "verify", scope, "--json", *units)
+        code, out = run_cli(capsys, "verify", *scope.split(), "--json", *units)
         doc = json.loads(out)
-        checks = doc["payload"]["checks"]
+        payload = doc["payload"]
+        checks = payload["checks"]
+        audited = scope.split()[0] in ("ccnot", "cccnot", "all")
         assert code == 0
         assert doc["status"] == "ok"
-        assert doc["payload"]["all_passed"] is True
+        assert payload["all_passed"] is True
+        assert payload["scope"] == scope.split()[0]
+        assert set(payload) == {"scope", "checks", "all_passed"} | (
+            {"components"} if audited else set()
+        )
         assert [c["name"] for c in checks] == VERIFY_CHECK_NAMES[scope]
         assert len(checks) == len(VERIFY_CHECK_NAMES[scope])
         assert all(c["passed"] is True for c in checks)
-        assert [r["gate_label"] for r in doc["payload"]["components"]] == COMPONENT_LABELS
+        if audited:
+            assert [r["gate_label"] for r in payload["components"]] == COMPONENT_LABELS
+
+
+# Every component name the parser accepts, adjoint kinds included, as in test_gates.
+COMPONENT_NAMES = [
+    f"{kind}:{c},{t}@{n}"
+    for n, base, c, t in COMPONENT_TABLE
+    for kind in GATE_KINDS
+    if ADJOINT_BASE.get(kind, kind) == base
+]
+
+
+def _expected_checks(name, oracle):
+    """The checks ``verify <name>`` runs, from what kind of gate the name is."""
+    parsed = parse_gate_name(name)
+    if parsed in gates.CIRCUITS:
+        checks = VERIFY_CHECK_NAMES[parsed]
+    elif parsed == "not":
+        checks = NOT_CHECKS + ["not: lab-frame integration reproduces the drive window"] * oracle
+    else:
+        label = parsed if isinstance(parsed, str) else parsed.label
+        checks = [_exact_check(label)] + [_window_check(label)] * (oracle and label in ("cz", "cnot"))
+    return checks + ORACLE_BASICS * oracle
+
+
+class TestEveryBuildableGateIsAScope:
+    @pytest.mark.parametrize("oracle", [False, True], ids=["exact", "oracle"])
+    @pytest.mark.parametrize("name", [*gates.GATE_REGISTRY, *COMPONENT_NAMES])
+    def test_verify_exits_zero_with_the_gates_checks(self, capsys, name, oracle):
+        argv = ["verify", name, "--natural-units", "--json"] + ["--oracle"] * oracle
+        code, out = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        checks = doc["payload"]["checks"]
+        assert code == 0, out
+        assert doc["status"] == "ok"
+        assert [c["name"] for c in checks] == _expected_checks(name, oracle)
+        assert all(c["passed"] is True for c in checks)
+
+    @pytest.mark.parametrize("scope", ["cx_half:9,9", "cnot:1,2@x", "cx_half:2,3@5"])
+    def test_unknown_scope_names_all_and_the_grammar(self, capsys, scope):
+        code, out = run_cli(capsys, "verify", scope, "--natural-units", "--json")
+        doc = json.loads(out)
+        message = doc["payload"]["message"]
+        assert code == 3
+        assert doc["status"] == "error"
+        assert message.startswith(f"unknown scope {scope!r}; expected 'all' or a gate name (")
+        with pytest.raises(ValueError) as grammar:
+            parse_gate_name(scope)
+        assert str(grammar.value) in message
+
+
+class TestNoWarningAboutDerivedConstants:
+    """The NOT window's derived b1 = 0.2*b0 is the program's choice, not the user's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--natural-units"],
+            ["verify", "all", "--oracle"],
+            ["verify", "not"],
+            ["build", "not"],
+            ["build", "not", "--natural-units"],
+        ],
+        ids=" ".join,
+    )
+    def test_commands_run_with_warnings_as_errors(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+    def test_a_b1_the_user_sets_still_warns_at_the_building_line(self, capsys):
+        with pytest.warns(UserWarning, match="b1=0.5 is not small") as record:
+            code, _ = run_cli(capsys, "build", "not", "--natural-units", "--b1", "0.5")
+        assert code == 0
+        assert [w.filename for w in record] == [cli.__file__]
+
+    def test_verify_all_writes_nothing_to_stderr(self):
+        src = str(pathlib.Path(spinforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinforge.cli", "verify", "all", "--natural-units"],
+            capture_output=True, env=env, timeout=120, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -85,6 +85,20 @@ class TestPhysicalConfig:
             build()
         assert [w.filename for w in record] == [__file__]
 
+    def test_derived_constants_take_file_keys_and_do_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = PhysicalConfig.natural_units().with_derived(
+                {"b1": 0.2, "j": 0.3, "b_prime": 0.1}
+            )
+        assert (cfg.b1, cfg.j_coupling, cfg.b_prime) == (0.2, 0.3, 0.1)
+
+    def test_derived_constants_are_still_validated(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            PhysicalConfig.natural_units().with_derived({"b1": 2.0})
+
     def test_replace_returns_new_value(self):
         cfg = PhysicalConfig.natural_units()
         other = cfg.replace(j_coupling=2.0)
