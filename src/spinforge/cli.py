@@ -135,7 +135,7 @@ def cmd_build(args) -> CommandResult:
         "pulse_matrix": matrix_to_json(build.pulse),
         "ideal_matrix": matrix_to_json(build.ideal),
         "fidelity_report": report.to_json_dict(),
-        "total_time_seconds": build.schedule.totals.get("T"),
+        "total_time_seconds": build.total_time,
     }
     summary = (
         f"{build.label}: fidelity={report.fidelity:.15f} "

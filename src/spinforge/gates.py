@@ -459,18 +459,26 @@ GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
 }
 
 
+def _registered_build(name: str, timings: GateSchedule) -> tuple[np.ndarray, float]:
+    """Pulse matrix and duration of a whole gate; a circuit replays each
+    distinct component once and lasts its schedule's total T."""
+    if name in CIRCUITS:
+        pulse = sequence_pulse(CIRCUITS[name], component_pulses(timings))
+        return pulse, timings.totals["T"]
+    _, build_program, _ = GATE_REGISTRY[name]
+    program = build_program(timings)
+    return program_matrix(program), program.total_time
+
+
 def _registered_pulse(
     name: str, cfg: PhysicalConfig | None, timings: GateSchedule | None
 ) -> np.ndarray:
-    """Pulse matrix of a whole gate; a circuit replays each distinct component once."""
-    table, build_program, _ = GATE_REGISTRY[name]
+    """Pulse matrix of a whole gate."""
     if timings is None:
         if cfg is None:
             cfg = PhysicalConfig.natural_units()
-        timings = gate_timing_table(table, cfg)
-    if name in CIRCUITS:
-        return sequence_pulse(CIRCUITS[name], component_pulses(timings))
-    return program_matrix(build_program(timings))
+        timings = gate_timing_table(GATE_REGISTRY[name][0], cfg)
+    return _registered_build(name, timings)[0]
 
 
 def not_gate_1q(
@@ -556,11 +564,18 @@ def flagged_components(reports) -> list[FidelityReport]:
 
 @dataclass(frozen=True)
 class GateBuild:
+    """A named gate's two layers and their comparison.
+
+    ``total_time`` is the duration of the built pulse program; for a
+    component or the Hadamard-like rotation that is part of the schedule.
+    """
+
     label: str
     pulse: np.ndarray
     ideal: np.ndarray
     report: FidelityReport
     schedule: GateSchedule
+    total_time: float
 
 
 def build_gate(name: str, cfg: PhysicalConfig | None = None) -> GateBuild:
@@ -570,12 +585,14 @@ def build_gate(name: str, cfg: PhysicalConfig | None = None) -> GateBuild:
     parsed = parse_gate_name(name)
     if isinstance(parsed, GateSpec):
         schedule = gate_timing_table(COMPONENT_PARENT_GATE[parsed.n], cfg)
-        pulse = program_matrix(component_program(parsed, schedule))
+        program = component_program(parsed, schedule)
+        pulse, total_time = program_matrix(program), program.total_time
         spec, label = parsed, parsed.label
     else:
         table, _, spec = GATE_REGISTRY[parsed]
         schedule = gate_timing_table(table, cfg)
-        pulse, label = _registered_pulse(parsed, cfg, schedule), parsed
+        pulse, total_time = _registered_build(parsed, schedule)
+        label = parsed
     ideal = ideal_component(spec)
     report = phase_fidelity(pulse, ideal, gate_label=label)
-    return GateBuild(label, pulse, ideal, report, schedule)
+    return GateBuild(label, pulse, ideal, report, schedule, total_time)

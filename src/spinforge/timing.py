@@ -16,7 +16,7 @@ import enum
 import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -63,12 +63,15 @@ class ConstraintKind(enum.Enum):
 
     @property
     def config_key(self) -> str:
-        return {
-            ConstraintKind.ZEEMAN: "omega",
-            ConstraintKind.DRIVE: "b1",
-            ConstraintKind.EXCHANGE: "j",
-            ConstraintKind.OFFSET: "b_prime",
-        }[self]
+        return _CONFIG_KEYS[self]
+
+
+_CONFIG_KEYS = {
+    ConstraintKind.ZEEMAN: "omega",
+    ConstraintKind.DRIVE: "b1",
+    ConstraintKind.EXCHANGE: "j",
+    ConstraintKind.OFFSET: "b_prime",
+}
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,18 @@ class TimingConstraint:
         return float(self.residue_over_pi) * math.pi
 
     def bound(self, cfg: PhysicalConfig) -> "TimingConstraint":
-        return replace(self, coefficient=float(self.level) * self.kind.knob_value(cfg))
+        return self.with_coefficient(float(self.level) * self.kind.knob_value(cfg))
+
+    def with_coefficient(self, coefficient: float) -> "TimingConstraint":
+        """A copy bound to ``coefficient``, validated like any constraint."""
+        return TimingConstraint(
+            self.kind,
+            self.level,
+            self.residue_over_pi,
+            self.description,
+            self.min_witness,
+            coefficient,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,15 +134,43 @@ class TimingWitness:
         if self.k < 0:
             raise ValueError(f"witness must be >= 0, got {self.k}")
 
-    @property
+    # The exact phases and their float forms are worked out once per
+    # witness; ``with_coefficient`` hands them on to the bound copy.
+
+    @functools.cached_property
     def phase_over_pi(self) -> Fraction:
         """Exact (level * knob * t) / pi = 2k + residue."""
         return 2 * self.k + self.constraint.residue_over_pi
 
-    @property
+    @functools.cached_property
     def knob_phase_over_pi(self) -> Fraction:
         """Exact (knob * t) / pi."""
         return self.phase_over_pi / self.constraint.level
+
+    @functools.cached_property
+    def phase_float(self) -> float:
+        """float(phase_over_pi)."""
+        return float(self.phase_over_pi)
+
+    @functools.cached_property
+    def level_float(self) -> float:
+        """float(constraint.level)."""
+        return float(self.constraint.level)
+
+    def with_coefficient(self, coefficient: float) -> "TimingWitness":
+        """This witness on a copy of its constraint bound to ``coefficient``.
+
+        The copy shares this witness's exact phases, so binding does no
+        Fraction arithmetic.
+        """
+        copy = TimingWitness(self.constraint.with_coefficient(coefficient), self.k)
+        vars(copy).update(
+            phase_over_pi=self.phase_over_pi,
+            knob_phase_over_pi=self.knob_phase_over_pi,
+            phase_float=self.phase_float,
+            level_float=self.level_float,
+        )
+        return copy
 
 
 @dataclass(frozen=True)
@@ -160,6 +202,8 @@ class TimingSolution:
 
 
 def _rationalize(x: float) -> Fraction | None:
+    if not math.isfinite(x):
+        return None  # a subnormal reference coefficient overflows the ratio
     frac = Fraction(x).limit_denominator(RATIO_MAX_DEN)
     if abs(x - float(frac)) <= RATIO_TOL * max(1.0, abs(x)):
         return frac
@@ -174,7 +218,7 @@ def _max_residual(
         coeff = w.constraint.coefficient
         if coeff is None:
             continue
-        target = float(w.phase_over_pi) * math.pi
+        target = w.phase_float * math.pi
         worst = max(worst, abs(coeff * duration - target))
     return worst
 
@@ -287,28 +331,41 @@ def invert_for_constants(
         raise ValueError("need exactly one witness per constraint")
     deltas: dict[str, float] = {}
     for c, k in zip(constraints, witnesses):
-        if k < 0:
-            raise ValueError(f"witness must be >= 0, got {k}")
-        phase = 2 * k + c.residue_over_pi
-        if phase < 0:
+        witness = TimingWitness(c, k)  # rejects k < 0
+        if witness.phase_over_pi < 0:
             raise ValueError(
                 f"witness {k} makes {c.description or c.kind.value} negative"
             )
-        knob = float(phase) * math.pi / (float(c.level) * duration)
-        if c.kind is ConstraintKind.DRIVE:
-            if gamma is None:
-                raise ValueError("gamma is required to invert a drive constraint")
-            knob /= gamma
-        key = c.kind.config_key
-        if key in deltas:
-            scale = max(abs(deltas[key]), abs(knob), 1e-300)
-            if abs(deltas[key] - knob) > 1e-9 * scale:
-                raise ScheduleInfeasibleError(
-                    f"conflicting values for {key}: "
-                    f"{deltas[key]!r} vs {knob!r} ({c.description})"
-                )
-        deltas[key] = knob
+        _invert_knob(deltas, witness, duration, gamma)
     return deltas
+
+
+def _invert_knob(
+    deltas: dict[str, float],
+    witness: TimingWitness,
+    duration: float,
+    gamma: float | None,
+) -> None:
+    """Add the knob value that meets ``witness`` at ``duration`` to ``deltas``.
+
+    A drive knob is B1, so it is divided by gamma. A second constraint on
+    a knob already in ``deltas`` must agree with it.
+    """
+    c = witness.constraint
+    knob = witness.phase_float * math.pi / (witness.level_float * duration)
+    if c.kind is ConstraintKind.DRIVE:
+        if gamma is None:
+            raise ValueError("gamma is required to invert a drive constraint")
+        knob /= gamma
+    key = c.kind.config_key
+    if key in deltas:
+        scale = max(abs(deltas[key]), abs(knob), 1e-300)
+        if abs(deltas[key] - knob) > 1e-9 * scale:
+            raise ScheduleInfeasibleError(
+                f"conflicting values for {key}: "
+                f"{deltas[key]!r} vs {knob!r} ({c.description})"
+            )
+    deltas[key] = knob
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +455,39 @@ class GateTable:
         """Each window label -> the first window label with equal constraints."""
         first: dict[tuple[TimingConstraint, ...], str] = {}
         return {label: first.setdefault(cons, label) for label, cons in self.windows}
+
+    @functools.cached_property
+    def derive_witnesses(self) -> dict[str, tuple[TimingWitness, ...]]:
+        """Each distinct window label -> its derive-constants witnesses, clock first.
+
+        The witnesses and their exact phases depend on the table alone, so
+        they are worked out once; a config only scales them.
+        """
+        return {
+            label: _window_witnesses(cons)
+            for label, cons in self.windows
+            if self.first_window[label] == label
+        }
+
+
+def _window_witnesses(
+    constraints: tuple[TimingConstraint, ...],
+) -> tuple[TimingWitness, ...]:
+    """The derive-constants witnesses of one window, clock first.
+
+    The clock (Zeeman) constraint takes its least witness with a positive
+    phase; so does every other one, except a whole-turn constraint whose
+    least witness is 0.
+    """
+    clock = next(c for c in constraints if c.kind is ConstraintKind.ZEEMAN)
+    witnesses = []
+    for c in (clock, *[other for other in constraints if other is not clock]):
+        k = c.min_witness
+        if c is clock or not (c.residue_over_pi == 0 and c.min_witness == 0):
+            while 2 * k + c.residue_over_pi <= 0:
+                k += 1
+        witnesses.append(TimingWitness(c, k))
+    return tuple(witnesses)
 
 
 def _ccnot_table() -> GateTable:
@@ -658,43 +748,32 @@ class GateSchedule:
 
 
 def _derive_window(
-    label: str, constraints: tuple[TimingConstraint, ...], cfg: PhysicalConfig
+    label: str, witnesses: tuple[TimingWitness, ...], cfg: PhysicalConfig
 ) -> tuple[TimingSolution, dict[str, float]]:
-    clock = next(c for c in constraints if c.kind is ConstraintKind.ZEEMAN)
-    others = [c for c in constraints if c is not clock]
+    """Bind a window's table witnesses (clock first) to a config, in floats only.
 
-    k = clock.min_witness
-    while 2 * k + clock.residue_over_pi <= 0:
-        k += 1
-    clock_bound = clock.bound(cfg)
-    duration = (
-        float(2 * k + clock.residue_over_pi) * math.pi / clock_bound.coefficient
-    )
+    The clock fixes the duration; every other knob is derived so that its
+    constraint meets its witness at that duration.
+    """
+    clock, others = witnesses[0], witnesses[1:]
+    coefficient = clock.level_float * clock.constraint.kind.knob_value(cfg)
+    duration = clock.phase_float * math.pi / coefficient
 
-    witnesses = [TimingWitness(clock_bound, k)]
-    inversion_targets: list[TimingConstraint] = []
-    chosen: list[int] = []
-    for c in others:
-        kc = c.min_witness
-        if not (c.residue_over_pi == 0 and c.min_witness == 0):
-            while 2 * kc + c.residue_over_pi <= 0:
-                kc += 1
-        inversion_targets.append(c)
-        chosen.append(kc)
-    deltas = invert_for_constants(
-        duration, inversion_targets, chosen, gamma=cfg.gamma
-    )
-    for c, kc in zip(inversion_targets, chosen):
-        knob = deltas[c.kind.config_key]
-        if c.kind is ConstraintKind.DRIVE:
+    deltas: dict[str, float] = {}
+    for w in others:
+        _invert_knob(deltas, w, duration, cfg.gamma)
+    bound = [clock.with_coefficient(coefficient)]
+    for w in others:
+        knob = deltas[w.constraint.kind.config_key]
+        if w.constraint.kind is ConstraintKind.DRIVE:
             knob *= cfg.gamma
-        witnesses.append(TimingWitness(replace(c, coefficient=float(c.level) * knob), kc))
+        bound.append(w.with_coefficient(w.level_float * knob))
 
     solution = TimingSolution(
         label=label,
         duration=duration,
-        witnesses=tuple(witnesses),
-        residual=_max_residual(duration, witnesses),
+        witnesses=tuple(bound),
+        residual=_max_residual(duration, bound),
     )
     return solution, deltas
 
@@ -738,7 +817,7 @@ def gate_timing_table(
             if first in derived:
                 derived[label] = dict(derived[first])
         elif mode == DERIVE_CONSTANTS:
-            sol, deltas = _derive_window(label, constraints, cfg)
+            sol, deltas = _derive_window(label, table.derive_witnesses[label], cfg)
             solutions[label] = sol
             if deltas:
                 derived[label] = deltas

@@ -73,6 +73,34 @@ class TestBuild:
         assert code == 3
         assert "unknown gate" in out
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            # T1 = t1 + 2 t2 + 3 t3 of the CCNOT schedule, not its total T.
+            ("cx_half:2,3", 24 * math.pi),
+            # T5 = t11 + 2 t12 + 7 t13 of the CCCNOT schedule.
+            ("cx_neg_quarter:3,4", 40 * math.pi),
+            # The t2 window of the CNOT schedule alone.
+            ("hadamard_like", math.pi / 2),
+        ],
+    )
+    def test_total_time_is_the_built_programs(self, capsys, name, expected):
+        code, out = run_cli(capsys, "build", name, "--natural-units", "--json")
+        assert code == 0
+        total = payload_from(out)["payload"]["total_time_seconds"]
+        cfg = spinforge.PhysicalConfig.natural_units()
+        build = gates.build_gate(name, cfg)
+        assert total == build.total_time
+        assert total < build.schedule.totals["T"]
+        assert total == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["not", "cz", "cnot", "ccnot", "cccnot"])
+    def test_total_time_of_a_whole_gate_is_the_schedule_total(self, capsys, name):
+        code, out = run_cli(capsys, "build", name, "--natural-units", "--json")
+        assert code == 0
+        schedule = spinforge.gate_timing_table(name, spinforge.PhysicalConfig.natural_units())
+        assert payload_from(out)["payload"]["total_time_seconds"] == schedule.totals["T"]
+
 
 @pytest.mark.parametrize("command", ["build", "schedule"])
 def test_bad_register_size_names_the_grammar(capsys, command):
@@ -132,6 +160,25 @@ class TestSchedule:
         )
         assert code == 2
         assert "infeasible" in out
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [("--j=1", "--b-prime=1e-310"), ("--j=1e-310", "--b-prime=0.25")],
+        ids=["subnormal-b-prime", "subnormal-j"],
+    )
+    def test_overflowing_ratio_is_infeasible(self, capsys, knobs):
+        argv = ["schedule", "cz", "--mode", "shared-constants", "--natural-units", *knobs]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "infeasible"
+        message = doc["payload"]["message"]
+        assert "coefficient ratio inf of (omega*t = 2n*pi + pi/2) vs" in message
+        assert ("(J*t" in message) == (knobs[0] == "--j=1e-310")
+        # An OverflowError would escape main as a traceback.
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.startswith("infeasible: cz window t1")
 
     def test_schedule_shared_feasible(self, capsys):
         code, out = run_cli(

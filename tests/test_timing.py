@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinforge import timing
+from spinforge import gates, timing
 from spinforge.cli import main
 from spinforge.config import GAMMA_ELECTRON, PhysicalConfig
 from spinforge.timing import (
@@ -379,6 +379,118 @@ class TestRepeatedWindows:
                 if other != label:
                     assert deltas == before[other], (label, other)
             sched.derived[label]["j"] = before[label]["j"]
+
+
+def _fresh(c):
+    """The constraint rebuilt from the text of its Fractions."""
+    return TimingConstraint(
+        c.kind,
+        Fraction(str(c.level)),
+        Fraction(str(c.residue_over_pi)),
+        c.description,
+        c.min_witness,
+    )
+
+
+def recomputed_window(constraints, cfg):
+    """A derive-constants window worked out on fresh Fractions.
+
+    Returns the duration, the witnesses, the bound constraints, the
+    derived constants and the residual.
+    """
+    fresh = [_fresh(c) for c in constraints]
+    clock = next(c for c in fresh if c.kind is ConstraintKind.ZEEMAN)
+    others = [c for c in fresh if c is not clock]
+
+    def least(c):
+        k = c.min_witness
+        if c is clock or c.residue_over_pi != 0 or c.min_witness != 0:
+            while 2 * k + c.residue_over_pi <= 0:
+                k += 1
+        return k
+
+    ks = [least(c) for c in (clock, *others)]
+    coefficient = float(clock.level) * cfg.omega
+    duration = float(2 * ks[0] + clock.residue_over_pi) * PI / coefficient
+    deltas = invert_for_constants(duration, others, ks[1:], gamma=cfg.gamma)
+    coefficients = [coefficient]
+    for c in others:
+        knob = deltas[c.kind.config_key]
+        if c.kind is ConstraintKind.DRIVE:
+            knob *= cfg.gamma
+        coefficients.append(float(c.level) * knob)
+    bound = [replace(c, coefficient=x) for c, x in zip((clock, *others), coefficients)]
+    residual = 0.0
+    for c, k in zip(bound, ks):
+        residual = max(
+            residual, abs(c.coefficient * duration - float(2 * k + c.residue_over_pi) * PI)
+        )
+    return duration, ks, bound, deltas, residual
+
+
+@st.composite
+def resonant_configs(draw):
+    """Resonant configs over decades, in natural units or in SI units."""
+    if draw(st.booleans()):
+        gamma, b0 = 1.0, 10 ** draw(st.floats(-4, 4))
+    else:
+        gamma, b0 = GAMMA_ELECTRON, 10 ** draw(st.floats(-4, 1))
+    knobs = {
+        name: draw(st.sampled_from([0.0, 10 ** draw(st.floats(-3, 3))]))
+        for name in ("j_coupling", "b_prime")
+    }
+    return PhysicalConfig(gamma=gamma, b0=b0, omega=gamma * b0, **knobs)
+
+
+class TestWindowsBindTableWitnesses:
+    """Derive-constants windows bind per-table exact witnesses to a config."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=resonant_configs())
+    def test_every_window_equals_the_fresh_fraction_result(self, cfg):
+        for gate, table in timing.GATE_TABLES.items():
+            sched = gate_timing_table(gate, cfg)
+            for label, constraints in table.windows:
+                duration, ks, bound, deltas, residual = recomputed_window(constraints, cfg)
+                sol = sched.solutions[label]
+                assert sol.duration == duration, (gate, label)
+                assert [w.k for w in sol.witnesses] == ks, (gate, label)
+                # Equal constraints have equal coefficients too.
+                assert [w.constraint for w in sol.witnesses] == bound, (gate, label)
+                assert sched.derived.get(label, {}) == deltas, (gate, label)
+                assert sol.residual == residual, (gate, label)
+                for w, c, k in zip(sol.witnesses, bound, ks):
+                    assert w.phase_over_pi == 2 * k + c.residue_over_pi
+                    assert w.knob_phase_over_pi == (2 * k + c.residue_over_pi) / c.level
+
+    def test_table_witnesses_are_worked_out_once(self):
+        table = timing.GATE_TABLES["cccnot"]
+        assert table.derive_witnesses is table.derive_witnesses
+        assert list(table.derive_witnesses) == ["t1", "t2", "t3", "t4"]
+        sched = gate_timing_table("cccnot", PhysicalConfig.natural_units())
+        for label, witnesses in table.derive_witnesses.items():
+            for unbound, w in zip(witnesses, sched.solutions[label].witnesses):
+                assert unbound.constraint.coefficient is None
+                assert w.knob_phase_over_pi is unbound.knob_phase_over_pi
+
+    def test_a_second_config_does_no_fraction_arithmetic(self, monkeypatch):
+        for gate in timing.GATE_TABLES:
+            gate_timing_table(gate, PhysicalConfig.natural_units())
+
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic after the warm-up")
+
+        for name in ("__add__", "__radd__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Fraction, name, forbidden)
+        with pytest.raises(AssertionError):
+            2 + Fraction(1, 2)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2) / 2
+        cfg = PhysicalConfig(b0=0.37, omega=GAMMA_ELECTRON * 0.37)
+        for gate in timing.GATE_TABLES:
+            sched = gate_timing_table(gate, cfg)
+            for spec in dict.fromkeys(gates.CIRCUITS.get(gate, ())):
+                gates.component_program(spec, sched)
 
 
 class TestScheduleExport:
