@@ -24,6 +24,7 @@ from .tensor import basis_state, matrix_to_json, unitarity_defect
 from .timing import (
     DEFAULT_SEARCH_BOUND,
     DERIVE_CONSTANTS,
+    GATE_TABLES,
     SHARED_CONSTANTS,
     ScheduleInfeasibleError,
     gate_timing_table,
@@ -168,8 +169,8 @@ def cmd_schedule(args) -> CommandResult:
     return CommandResult("ok", payload, summary)
 
 
-# Whole gates checked by ``verify all``, in order.
-VERIFY_ALL = ("not", "cz", "cnot", "ccnot", "cccnot")
+# Whole gates checked by ``verify all``, in order: those with a timing table.
+VERIFY_ALL = tuple(GATE_TABLES)
 
 _WINDOW_CLAIM = "lab-frame window matches the evolution operator (offset phase applied)"
 

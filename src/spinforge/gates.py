@@ -29,8 +29,10 @@ from .operators import (
 )
 from .tensor import FidelityReport, expm_pauli, identity, phase_fidelity
 from .timing import (
+    CIRCUITS,
     COMPONENT_PARENT_GATE,
     COMPONENT_TABLE,
+    X_POWER_ALPHA,
     ConstraintKind,
     GateSchedule,
     GateSpec,
@@ -40,13 +42,6 @@ from .timing import (
     gate_timing_table,
     parse_gate_name,
 )
-
-X_POWER_ALPHA = {
-    "cx_half": 0.5,
-    "cx_neg_half": -0.5,
-    "cx_quarter": 0.25,
-    "cx_neg_quarter": -0.25,
-}
 
 DRIVE_ELIMINATION_TOL = 1e-9
 
@@ -117,10 +112,8 @@ def ideal_component(spec: GateSpec) -> np.ndarray:
         t = spec.target or 2
         n = max(spec.n, 2)
         return cnot_matrix(c, t, n)
-    if kind == "ccnot":
-        return canonical_toffoli(3)
-    if kind == "cccnot":
-        return canonical_toffoli(4)
+    if kind in CIRCUITS:
+        return canonical_toffoli(CIRCUITS[kind][0].n)
     if kind in X_POWER_ALPHA:
         if spec.control is None or spec.target is None:
             raise ValueError(f"{kind} needs explicit control and target sites")
@@ -164,12 +157,15 @@ def _window_angle(
     timing: TimingSolution,
     kind: ConstraintKind,
     divisor: int,
-    cfg: PhysicalConfig,
+    cfg: PhysicalConfig | None = None,
 ) -> float:
-    """Sigma-level angle of one factor family, exact when a witness exists."""
+    """Sigma-level angle of one factor family, exact from the window's witness;
+    only ``u_phi`` passes a config, whose knob stands in for a missing one."""
     exact = _sigma_angle(timing.knob_phase_over_pi(kind), divisor)
     if exact is not None:
         return exact
+    if cfg is None:
+        raise ValueError(f"window {timing.label} has no {kind.value} witness")
     return _float_angle(kind.knob_value(cfg) * timing.duration / divisor)
 
 
@@ -214,19 +210,19 @@ def program_matrix(program: PulseProgram) -> np.ndarray:
 
 
 def _u_phi_segments(
-    timing: TimingSolution, n: int, cfg: PhysicalConfig, label: str
+    timing: TimingSolution, n: int, cfg: PhysicalConfig | None = None
 ) -> list[PulseSegment]:
     a_z = _window_angle(timing, ConstraintKind.ZEEMAN, 2, cfg)
     a_x = _window_angle(timing, ConstraintKind.DRIVE, 2, cfg)
     a_zz = _window_angle(timing, ConstraintKind.EXCHANGE, 4, cfg)
     a_offset = _window_angle(timing, ConstraintKind.OFFSET, 1, cfg)
-    segments = [PulseSegment((), (), -a_offset, label)]
+    segments = [PulseSegment((), (), -a_offset, timing.label)]
     for i, j in pair_sites(n):
-        segments.append(PulseSegment((i, j), ("z", "z"), -a_zz, label))
+        segments.append(PulseSegment((i, j), ("z", "z"), -a_zz, timing.label))
     for site in range(1, n + 1):
-        segments.append(PulseSegment((site,), ("x",), a_x, label))
+        segments.append(PulseSegment((site,), ("x",), a_x, timing.label))
     for site in range(1, n + 1):
-        segments.append(PulseSegment((site,), ("z",), a_z, label))
+        segments.append(PulseSegment((site,), ("z",), a_z, timing.label))
     return segments
 
 
@@ -246,14 +242,13 @@ def u_phi(n: int, timing: TimingSolution, cfg: PhysicalConfig) -> np.ndarray:
         raise ValueError(
             f"drive factor is not eliminated: gamma*B1*t = {2 * a_x!r} mod 2*pi"
         )
-    segments = tuple(_u_phi_segments(timing, n, cfg, timing.label))
+    segments = tuple(_u_phi_segments(timing, n, cfg))
     return program_matrix(PulseProgram(f"u_phi/{n}q", n, segments, timing.duration))
 
 
 def _pulse_angle(schedule: GateSchedule, label: str) -> float:
     """Sigma-level angle of a free-precession pulse window (omega*t/2)."""
-    sol = schedule.solutions[label]
-    return _window_angle(sol, ConstraintKind.ZEEMAN, 2, schedule.cfg)
+    return _window_angle(schedule.solutions[label], ConstraintKind.ZEEMAN, 2)
 
 
 def _y_conjugated(
@@ -304,9 +299,7 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
     inner = [PulseSegment((site,), ("z",), -a_d, label_d) for site in spectators]
     for i, j in spectator_pairs:
         inner.append(PulseSegment((i, j), ("z", "z"), a_d, label_d))
-    sol_phi = schedule.solutions[label_phi]
-    cfg_phi = schedule.window_config(label_phi)
-    inner.extend(_u_phi_segments(sol_phi, spec.n, cfg_phi, label_phi))
+    inner.extend(_u_phi_segments(schedule.solutions[label_phi], spec.n))
     segments = _y_conjugated(t, _pulse_angle(schedule, label_y), label_y, inner)
 
     program = PulseProgram(spec.label, spec.n, segments, schedule.totals[total_label])
@@ -330,11 +323,10 @@ def not_program(schedule: GateSchedule) -> PulseProgram:
     """Single-qubit inverter: drive flip, frame phase, then a z quarter turn."""
     t1 = schedule.solutions["t1"]
     t2 = schedule.solutions["t2"]
-    cfg1 = schedule.window_config("t1")
-    a_z = _window_angle(t1, ConstraintKind.ZEEMAN, 2, cfg1)
-    a_x = _window_angle(t1, ConstraintKind.DRIVE, 2, cfg1)
+    a_z = _window_angle(t1, ConstraintKind.ZEEMAN, 2)
+    a_x = _window_angle(t1, ConstraintKind.DRIVE, 2)
     # The closing pulse is a full-angle rotation: omega*t2 = pi/2.
-    a_pulse = _window_angle(t2, ConstraintKind.ZEEMAN, 1, schedule.cfg)
+    a_pulse = _window_angle(t2, ConstraintKind.ZEEMAN, 1)
     segments = (
         PulseSegment((1,), ("x",), a_x, "t1"),
         PulseSegment((1,), ("z",), a_z, "t1"),
@@ -345,8 +337,7 @@ def not_program(schedule: GateSchedule) -> PulseProgram:
 
 def cz_program(schedule: GateSchedule) -> PulseProgram:
     """Two-qubit controlled-Z: the evolution operator of the t1 window alone."""
-    sol, cfg = schedule.solutions["t1"], schedule.window_config("t1")
-    segments = tuple(_u_phi_segments(sol, 2, cfg, "t1"))
+    segments = tuple(_u_phi_segments(schedule.solutions["t1"], 2))
     return PulseProgram("cz/2q", 2, segments, schedule.totals["T"])
 
 
@@ -364,40 +355,12 @@ def hadamard_program(schedule: GateSchedule) -> PulseProgram:
     return PulseProgram("hadamard_like/1q", 1, (segment,), duration)
 
 
-CCNOT_SEQUENCE: tuple[GateSpec, ...] = (
-    GateSpec("cx_half", 2, 3, 3),
-    GateSpec("cnot", 1, 2, 3),
-    GateSpec("cx_neg_half", 2, 3, 3),
-    GateSpec("cnot", 1, 2, 3),
-    GateSpec("cx_half", 1, 3, 3),
-)
-
-CCCNOT_SEQUENCE: tuple[GateSpec, ...] = (
-    GateSpec("cx_quarter", 1, 4, 4),
-    GateSpec("cnot", 1, 2, 4),
-    GateSpec("cx_neg_quarter", 2, 4, 4),
-    GateSpec("cnot", 1, 2, 4),
-    GateSpec("cx_quarter", 2, 4, 4),
-    GateSpec("cnot", 2, 3, 4),
-    GateSpec("cx_neg_quarter", 3, 4, 4),
-    GateSpec("cnot", 1, 3, 4),
-    GateSpec("cx_quarter", 3, 4, 4),
-    GateSpec("cnot", 2, 3, 4),
-    GateSpec("cx_neg_quarter", 3, 4, 4),
-    GateSpec("cnot", 1, 3, 4),
-    GateSpec("cx_quarter", 3, 4, 4),
-)
-
+CCNOT_SEQUENCE: tuple[GateSpec, ...] = CIRCUITS["ccnot"]
+CCCNOT_SEQUENCE: tuple[GateSpec, ...] = CIRCUITS["cccnot"]
 
 # The distinct components of each circuit, in order of first use.
 AUDIT_SPECS_3Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCNOT_SEQUENCE))
 AUDIT_SPECS_4Q: tuple[GateSpec, ...] = tuple(dict.fromkeys(CCCNOT_SEQUENCE))
-
-# Circuit gate name -> its component sequence, 3q before 4q.
-CIRCUITS: dict[str, tuple[GateSpec, ...]] = {
-    "ccnot": CCNOT_SEQUENCE,
-    "cccnot": CCCNOT_SEQUENCE,
-}
 
 
 def sequence_program(
@@ -446,16 +409,11 @@ GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
     "cz": ("cz", cz_program, GateSpec("cz", 1, 2, 2)),
     "cnot": ("cnot", cnot_program, GateSpec("cnot", 1, 2, 2)),
     "hadamard_like": ("cnot", hadamard_program, GateSpec("hadamard_like", n=1)),
-    "ccnot": (
-        "ccnot",
-        partial(sequence_program, "ccnot/3q", CCNOT_SEQUENCE),
-        GateSpec("ccnot", n=3),
-    ),
-    "cccnot": (
-        "cccnot",
-        partial(sequence_program, "cccnot/4q", CCCNOT_SEQUENCE),
-        GateSpec("cccnot", n=4),
-    ),
+    **{
+        gate: (gate, partial(sequence_program, f"{gate}/{n}q", CIRCUITS[gate]),
+               GateSpec(gate, n=n))
+        for n, gate in COMPONENT_PARENT_GATE.items()
+    },
 }
 
 

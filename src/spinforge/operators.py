@@ -11,9 +11,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import as_matrix, kron
+from .tensor import as_matrix, check_system_size, kron
 
-MAX_QUBITS = 4
 AXES = ("x", "y", "z")
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,12 +38,6 @@ def pauli(axis: str) -> np.ndarray:
 def spin(axis: str) -> np.ndarray:
     """Spin-1/2 operator S = sigma/2."""
     return pauli(axis) / 2
-
-
-def check_system_size(n: int) -> None:
-    """Reject a register size outside 1..MAX_QUBITS with a ValueError naming it."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"system size {n} outside 1..{MAX_QUBITS}")
 
 
 def _check_site(site: int, n: int) -> None:

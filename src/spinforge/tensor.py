@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_QUBITS = 4
 MAX_DIM = 16
 UNITARY_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -161,11 +162,18 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     return as_matrix(out)
 
 
+def check_system_size(n: int) -> None:
+    """Reject a register size outside 1..MAX_QUBITS with a ValueError naming it."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"system size {n} outside 1..{MAX_QUBITS}")
+
+
 def basis_state(n_qubits: int, bits: str) -> np.ndarray:
     """Computational basis state for a bitstring, qubit 1 most significant.
 
     '0' is spin up, '1' is spin down.
     """
+    check_system_size(n_qubits)
     if len(bits) != n_qubits or any(b not in "01" for b in bits):
         raise ValueError(f"need a {n_qubits}-character bitstring of 0/1, got {bits!r}")
     index = int(bits, 2)

@@ -6,9 +6,11 @@ prescribed residues modulo 2 pi simultaneously. Residue targets are exact
 rational multiples of pi and all congruence algebra happens on rationals;
 floats appear only in the final durations and coefficients.
 
-The gate-name grammar (GateSpec, parse_gate_name) lives here too, next to
-the component table it checks names against, so gate_timing_table, the gate
-library and the CLI all resolve names the same way.
+Each Toffoli circuit is stated once, as its components in time order
+(GateTable.circuit); its total T, the component table, the circuit
+sequences and the gate-name lists are derived from it. The gate-name
+grammar (GateSpec, parse_gate_name) lives here too, so gate_timing_table,
+the gate library and the CLI all resolve names the same way.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import enum
 import functools
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -447,8 +450,13 @@ def _quarter_turn_pulse() -> tuple[TimingConstraint, ...]:
 
 @dataclass(frozen=True)
 class GateTable:
+    """A gate's timing windows and weighted totals. A Toffoli circuit's
+    ``circuit`` rows (kind, control, target, total) list its components in
+    time order; every other statement of them is derived from these rows."""
+
     windows: tuple[tuple[str, tuple[TimingConstraint, ...]], ...]
     totals: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
+    circuit: tuple[tuple[str, int, int, str], ...] = ()
 
     @functools.cached_property
     def first_window(self) -> dict[str, str]:
@@ -490,6 +498,13 @@ def _window_witnesses(
     return tuple(witnesses)
 
 
+def _circuit_table(windows, component_totals, circuit) -> GateTable:
+    """A circuit's table; its total T weights each component total by its
+    number of uses, in order of first use."""
+    uses = Counter(total for *_, total in circuit)
+    return GateTable(windows, (*component_totals, ("T", tuple(uses.items()))), circuit)
+
+
 def _ccnot_table() -> GateTable:
     y = _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
     d = _free_pulse("-1/8", 1, "omega*t/2 = 2n*pi - pi/8")
@@ -509,9 +524,15 @@ def _ccnot_table() -> GateTable:
         ("T1", (("t1", 1), ("t2", 2), ("t3", 3))),
         ("T2", (("t4", 1), ("t5", 5))),
         ("T3", (("t6", 1), ("t7", 2), ("t8", 3))),
-        ("T", (("T1", 2), ("T2", 2), ("T3", 1))),
     )
-    return GateTable(windows, totals)
+    circuit = (
+        ("cx_half", 2, 3, "T1"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_neg_half", 2, 3, "T1"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_half", 1, 3, "T3"),
+    )
+    return _circuit_table(windows, totals, circuit)
 
 
 def _cccnot_table() -> GateTable:
@@ -543,12 +564,23 @@ def _cccnot_table() -> GateTable:
         ("T4", (("t9", 1), ("t10", 9))),
         ("T5", (("t11", 1), ("t12", 2), ("t13", 7))),
         ("T6", (("t14", 1), ("t15", 9))),
-        (
-            "T",
-            (("T1", 1), ("T2", 2), ("T3", 2), ("T4", 2), ("T5", 4), ("T6", 2)),
-        ),
     )
-    return GateTable(windows, totals)
+    circuit = (
+        ("cx_quarter", 1, 4, "T1"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_neg_quarter", 2, 4, "T3"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_quarter", 2, 4, "T3"),
+        ("cnot", 2, 3, "T4"),
+        ("cx_neg_quarter", 3, 4, "T5"),
+        ("cnot", 1, 3, "T6"),
+        ("cx_quarter", 3, 4, "T5"),
+        ("cnot", 2, 3, "T4"),
+        ("cx_neg_quarter", 3, 4, "T5"),
+        ("cnot", 1, 3, "T6"),
+        ("cx_quarter", 3, 4, "T5"),
+    )
+    return _circuit_table(windows, totals, circuit)
 
 
 GATE_TABLES: dict[str, GateTable] = {
@@ -579,34 +611,32 @@ GATE_TABLES: dict[str, GateTable] = {
     "cccnot": _cccnot_table(),
 }
 
-# Each component gate, keyed by (n, kind, control, target): the timing
-# labels of its windows and the schedule total it spans.
-COMPONENT_TABLE: dict[tuple[int, str, int, int], tuple[tuple[str, ...], str]] = {
-    (3, "cx_half", 2, 3): (("t1", "t2", "t3"), "T1"),
-    (3, "cnot", 1, 2): (("t4", "t5"), "T2"),
-    (3, "cx_half", 1, 3): (("t6", "t7", "t8"), "T3"),
-    (4, "cx_quarter", 1, 4): (("t1", "t2", "t3"), "T1"),
-    (4, "cnot", 1, 2): (("t4", "t5"), "T2"),
-    (4, "cx_quarter", 2, 4): (("t6", "t7", "t8"), "T3"),
-    (4, "cnot", 2, 3): (("t9", "t10"), "T4"),
-    (4, "cx_quarter", 3, 4): (("t11", "t12", "t13"), "T5"),
-    (4, "cnot", 1, 3): (("t14", "t15"), "T6"),
-}
-
 COMPONENT_PARENT_GATE = {3: "ccnot", 4: "cccnot"}
 
-# Gates built whole, by name alone; every other kind is a component.
-WHOLE_GATES = ("not", "cz", "cnot", "ccnot", "cccnot", "hadamard_like")
-
-GATE_KINDS = (
-    *WHOLE_GATES,
-    "cx_half",
-    "cx_neg_half",
-    "cx_quarter",
-    "cx_neg_quarter",
-)
+X_POWER_ALPHA = {
+    "cx_half": 0.5,
+    "cx_neg_half": -0.5,
+    "cx_quarter": 0.25,
+    "cx_neg_quarter": -0.25,
+}
 
 ADJOINT_BASE = {"cx_neg_half": "cx_half", "cx_neg_quarter": "cx_quarter"}
+
+# Gates built whole, by name alone; every other kind is a component.
+WHOLE_GATES = (*GATE_TABLES, "hadamard_like")
+
+GATE_KINDS = (*WHOLE_GATES, *X_POWER_ALPHA)
+
+# Each component gate, keyed by (n, base kind, control, target) in order of
+# first use: the labels of its windows (its total's terms) and that total.
+COMPONENT_TABLE: dict[tuple[int, str, int, int], tuple[tuple[str, ...], str]] = {
+    (n, ADJOINT_BASE.get(kind, kind), c, t): (
+        tuple(label for label, _ in dict(GATE_TABLES[gate].totals)[total]),
+        total,
+    )
+    for n, gate in COMPONENT_PARENT_GATE.items()
+    for kind, c, t, total in GATE_TABLES[gate].circuit
+}
 
 
 @dataclass(frozen=True)
@@ -642,6 +672,13 @@ class GateSpec:
         if self.control is not None and self.target is not None:
             return f"{self.kind}({self.control},{self.target})/{self.n}q"
         return f"{self.kind}/{self.n}q"
+
+
+# Circuit gate name -> its component sequence, 3q before 4q.
+CIRCUITS: dict[str, tuple[GateSpec, ...]] = {
+    gate: tuple(GateSpec(kind, c, t, n) for kind, c, t, _ in GATE_TABLES[gate].circuit)
+    for n, gate in COMPONENT_PARENT_GATE.items()
+}
 
 
 def parse_gate_name(text: str) -> GateSpec | str:

@@ -562,6 +562,16 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("n, psi0", [("0", ""), ("0", "0"), ("-1", "0")])
+    def test_size_outside_1_to_4_is_named(self, capsys, n, psi0):
+        argv = ["simulate", "--n", n, "--psi0", psi0, "--t-final", "0"]
+        code, out = run_cli(capsys, *argv, "--natural-units", "--json")
+        assert code == 3
+        assert payload_from(out) == {
+            "payload": {"message": f"system size {n} outside 1..4"},
+            "status": "error",
+        }
+
 
 class TestConfigPlumbing:
     def test_config_file_flag(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,8 @@ from spinforge.timing import (
     COMPONENT_TABLE,
     GATE_KINDS,
     WHOLE_GATES,
+    ConstraintKind,
+    GateSchedule,
     PulseProgram,
     PulseSegment,
     gate_timing_table,
@@ -697,3 +700,39 @@ class TestProgramMatrixReference:
         program = PulseProgram("bad", 2, (PulseSegment((1,), ("x",), 0.1), segment), 1.0)
         with pytest.raises(ValueError, match=re.escape(message)):
             program_matrix(program)
+
+
+class TestBuildersReadOnlyWitnesses:
+    """Program builders take every angle from the schedule's witnesses."""
+
+    @pytest.fixture
+    def no_window_config(self, monkeypatch):
+        def fail(schedule, label):
+            raise AssertionError(f"window_config({label!r}) was called")
+
+        monkeypatch.setattr(GateSchedule, "window_config", fail)
+
+    @pytest.mark.parametrize("name", [*GATE_REGISTRY, *COMPONENT_NAMES])
+    def test_every_name_builds_without_a_window_config(self, no_window_config, name):
+        assert build_gate(name, CFG).report.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_shared_constants_components_build_without_a_window_config(
+        self, no_window_config
+    ):
+        cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5)
+        schedule = gate_timing_table("ccnot", cfg, mode="shared-constants")
+        drive = schedule.solutions["t1"].witness_for(ConstraintKind.DRIVE)
+        assert (drive.k, drive.constraint.coefficient) == (0, 0.0)
+        for spec, pulse in component_pulses(schedule).items():
+            report = phase_fidelity(pulse, ideal_component(spec))
+            assert report.fidelity == pytest.approx(1.0, abs=1e-12), spec.label
+
+    def test_a_missing_witness_is_named(self, ccnot_schedule):
+        sol = ccnot_schedule.solutions["t1"]
+        witnesses = tuple(
+            w for w in sol.witnesses if w.constraint.kind is not ConstraintKind.EXCHANGE
+        )
+        solutions = {**ccnot_schedule.solutions, "t1": replace(sol, witnesses=witnesses)}
+        schedule = replace(ccnot_schedule, solutions=solutions)
+        with pytest.raises(ValueError, match=r"^window t1 has no exchange witness$"):
+            component_program(GateSpec("cx_half", 2, 3, 3), schedule)

@@ -330,6 +330,11 @@ class TestStates:
         with pytest.raises(ValueError):
             basis_state(2, "2x")
 
+    @pytest.mark.parametrize("n, bits", [(0, ""), (0, "0"), (-1, "0"), (5, "00000")])
+    def test_basis_state_rejects_a_size_outside_1_to_4_first(self, n, bits):
+        with pytest.raises(ValueError, match=rf"^system size {n} outside 1\.\.4$"):
+            basis_state(n, bits)
+
     def test_normalization_guard(self):
         with pytest.raises(ValueError, match="normalized"):
             require_normalized(np.array([1.0, 1.0]))
