@@ -3,7 +3,8 @@
 Every subcommand produces a CommandResult with a machine-readable payload
 and a human summary. Stdout carries the summary, or the CSV mirror with
 --csv where one exists; with --json it carries the JSON document alone.
-Exit code 0 means every invoked check passed.
+Exit code 0 means every invoked check passed. Handlers raise their errors;
+``main`` alone maps them to a status and an exit code.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, oracle
-from .config import PhysicalConfig, resolve_config
+from .config import FILE_KEYS, PhysicalConfig, resolve_config
 from .operators import pauli
 from .tensor import basis_state, matrix_to_json, unitarity_defect
 from .timing import (
@@ -26,6 +27,7 @@ from .timing import (
     DERIVE_CONSTANTS,
     GATE_TABLES,
     SHARED_CONSTANTS,
+    WHOLE_GATES,
     ScheduleInfeasibleError,
     gate_timing_table,
     parse_gate_name,
@@ -98,14 +100,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> PhysicalConfig:
-    overrides = {
-        "omega": args.omega,
-        "b0": args.b0,
-        "b1": args.b1,
-        "j_coupling": args.j,
-        "b_prime": args.b_prime,
-        "gamma": args.gamma,
-    }
+    """The config the flags select; each flag's dest is its config-file key."""
+    overrides = {field: getattr(args, key) for key, field in FILE_KEYS.items()}
     return resolve_config(
         args.config, natural_units=args.natural_units, overrides=overrides
     )
@@ -125,11 +121,7 @@ def _summary_lines(checks: list[dict]) -> str:
 
 
 def cmd_build(args) -> CommandResult:
-    cfg = _config_from_args(args)
-    try:
-        build = gates.build_gate(args.gate, cfg)
-    except ScheduleInfeasibleError as exc:
-        return CommandResult("infeasible", {"message": str(exc)}, f"infeasible: {exc}")
+    build = gates.build_gate(args.gate, _config_from_args(args))
     report = build.report
     payload = {
         "gate": build.label,
@@ -147,13 +139,9 @@ def cmd_build(args) -> CommandResult:
 
 
 def cmd_schedule(args) -> CommandResult:
-    cfg = _config_from_args(args)
-    try:
-        schedule = gate_timing_table(
-            args.gate, cfg, mode=args.mode, search_bound=args.search_bound
-        )
-    except ScheduleInfeasibleError as exc:
-        return CommandResult("infeasible", {"message": str(exc)}, f"infeasible: {exc}")
+    schedule = gate_timing_table(
+        args.gate, _config_from_args(args), mode=args.mode, search_bound=args.search_bound
+    )
     payload = schedule.to_json_dict()
     if args.csv:
         summary = schedule.to_csv_text().rstrip("\n")
@@ -304,23 +292,20 @@ def cmd_verify(args) -> CommandResult:
     checks: list[dict] = []
     payload: dict = {"scope": scope}
     pulses = None
-    try:
-        for name in VERIFY_ALL if scope == "all" else (scope,):
-            if name not in gates.CIRCUITS:
-                _verify_gate(name, cfg, checks, args.oracle)
-                continue
-            if pulses is None:
-                # One replay of each distinct component serves both circuit
-                # products and the audit.
-                pulses = gates.circuit_component_pulses(cfg)
-            _verify_composed(name, pulses, checks)
-        if pulses is not None:
-            reports = _verify_audit(pulses, checks)
-            payload["components"] = [r.to_json_dict() for r in reports]
-        if scope == "all" or args.oracle:
-            _verify_oracle_basics(cfg, checks)
-    except ScheduleInfeasibleError as exc:
-        return CommandResult("infeasible", {"message": str(exc)}, f"infeasible: {exc}")
+    for name in VERIFY_ALL if scope == "all" else (scope,):
+        if name not in gates.CIRCUITS:
+            _verify_gate(name, cfg, checks, args.oracle)
+            continue
+        if pulses is None:
+            # One replay of each distinct component serves both circuit
+            # products and the audit.
+            pulses = gates.circuit_component_pulses(cfg)
+        _verify_composed(name, pulses, checks)
+    if pulses is not None:
+        reports = _verify_audit(pulses, checks)
+        payload["components"] = [r.to_json_dict() for r in reports]
+    if scope == "all" or args.oracle:
+        _verify_oracle_basics(cfg, checks)
 
     all_passed = all(c["passed"] for c in checks)
     status = "ok" if all_passed else "verification_failed"
@@ -333,29 +318,21 @@ def cmd_verify(args) -> CommandResult:
 def cmd_simulate(args) -> CommandResult:
     cfg = _config_from_args(args)
     n = args.n
-    try:
-        psi0 = basis_state(n, args.psi0)
-    except ValueError as exc:
-        return CommandResult("error", {"message": str(exc)}, str(exc))
-    if args.dt is not None and args.t_final > 0:
-        settings = oracle.IntegrationSettings(dt=args.dt)
+    psi0 = basis_state(n, args.psi0)
+    # Without --dt the oracle takes its default step.
+    settings = None if args.dt is None else oracle.IntegrationSettings(dt=args.dt)
+    if args.trajectory:
+        times, states = oracle.integrate_lab_trajectory(
+            cfg, n, psi0, args.t_final, settings
+        )
+        oracle.write_trajectory_csv(args.trajectory, times, states)
+        final = states[-1]
     else:
-        settings = None  # the oracle's default step
-    try:
-        if args.trajectory:
-            times, states = oracle.integrate_lab_trajectory(
-                cfg, n, psi0, args.t_final, settings
-            )
-            oracle.write_trajectory_csv(args.trajectory, times, states)
-            final = states[-1]
-        else:
-            final = oracle.integrate_lab(cfg, n, psi0, args.t_final, settings)
-        if args.t_final > 0:
-            dt = oracle.step_plan(args.t_final, settings)[1]
-        else:
-            dt = 0.0 if args.dt is None else args.dt
-    except (oracle.IntegrationError, ValueError) as exc:
-        return CommandResult("error", {"message": str(exc)}, str(exc))
+        final = oracle.integrate_lab(cfg, n, psi0, args.t_final, settings)
+    if args.t_final > 0:
+        dt = oracle.step_plan(args.t_final, settings)[1]
+    else:
+        dt = 0.0 if settings is None else settings.dt
     payload = {
         "n": n,
         "t_final": args.t_final,
@@ -379,11 +356,10 @@ def make_parser() -> argparse.ArgumentParser:
         "NOT/CNOT/CCNOT/CCCNOT gates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gate_names = "|".join(WHOLE_GATES)
 
     p_build = sub.add_parser("build", help="build a gate and compare both layers")
-    p_build.add_argument(
-        "gate", help="not|cz|cnot|hadamard_like|ccnot|cccnot or kind:c,t[@n]"
-    )
+    p_build.add_argument("gate", help=f"{gate_names} or kind:c,t[@n]")
     _add_config_flags(p_build)
 
     p_sched = sub.add_parser("schedule", help="emit the timing table of a gate")
@@ -399,7 +375,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification checks")
     p_verify.add_argument(
-        "scope", help="'all' or a gate: not|cz|cnot|hadamard_like|ccnot|cccnot or kind:c,t[@n]"
+        "scope", help=f"'all' or a gate: {gate_names} or kind:c,t[@n]"
     )
     p_verify.add_argument(
         "--oracle",
@@ -437,7 +413,9 @@ def main(argv=None) -> int:
     }
     try:
         result = handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except ScheduleInfeasibleError as exc:  # a ValueError, so it comes first
+        result = CommandResult("infeasible", {"message": str(exc)}, f"infeasible: {exc}")
+    except (ValueError, OSError, oracle.IntegrationError) as exc:
         result = CommandResult("error", {"message": str(exc)}, f"error: {exc}")
     if args.json:
         _emit(_json_document(result.status, result.payload))

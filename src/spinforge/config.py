@@ -21,7 +21,9 @@ RESONANCE_RTOL = 1e-9
 
 CONFIG_ENV_VAR = "SPINFORGE_CONFIG"
 
-_FILE_KEYS = {
+# Config-file key -> PhysicalConfig field, one row per constant. The CLI
+# flags and the JSON form of a config use the same keys.
+FILE_KEYS = {
     "gamma": "gamma",
     "b0": "b0",
     "b1": "b1",
@@ -65,7 +67,7 @@ class PhysicalConfig:
     b_prime: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma", "b0", "b1", "omega", "j_coupling", "b_prime"):
+        for name in FILE_KEYS.values():
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -104,17 +106,10 @@ class PhysicalConfig:
         """
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            return self.replace(**{_FILE_KEYS[key]: v for key, v in deltas.items()})
+            return self.replace(**{FILE_KEYS[key]: v for key, v in deltas.items()})
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "b0": self.b0,
-            "b1": self.b1,
-            "omega": self.omega,
-            "j": self.j_coupling,
-            "b_prime": self.b_prime,
-        }
+        return {key: getattr(self, name) for key, name in FILE_KEYS.items()}
 
 
 def resonance_field(omega: float, gamma: float) -> float:
@@ -140,12 +135,12 @@ def parse_config_text(text: str) -> dict[str, float]:
         else:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().lower()
-        if key not in _FILE_KEYS:
+        if key not in FILE_KEYS:
             raise ValueError(
-                f"line {lineno}: unknown key {key!r}, expected one of {sorted(_FILE_KEYS)}"
+                f"line {lineno}: unknown key {key!r}, expected one of {sorted(FILE_KEYS)}"
             )
         try:
-            values[_FILE_KEYS[key]] = float(rhs.strip())
+            values[FILE_KEYS[key]] = float(rhs.strip())
         except ValueError:
             raise ValueError(f"line {lineno}: {rhs.strip()!r} is not a number") from None
     return values

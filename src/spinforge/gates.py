@@ -83,10 +83,6 @@ def controlled_x_power(control: int, target: int, n: int, alpha: float) -> np.nd
     return controlled_unitary(control, target, n, x_power(alpha))
 
 
-def cnot_matrix(control: int, target: int, n: int = 2) -> np.ndarray:
-    return controlled_unitary(control, target, n, pauli("x"))
-
-
 def canonical_toffoli(n: int) -> np.ndarray:
     """Multi-controlled NOT on qubit n: identity with the last two rows swapped."""
     check_system_size(n)
@@ -102,25 +98,17 @@ def ideal_component(spec: GateSpec) -> np.ndarray:
         return pauli("x")
     if kind == "hadamard_like":
         return hadamard_like()
-    if kind == "cz":
-        c = spec.control or 1
-        t = spec.target or 2
-        n = max(spec.n, 2)
-        return controlled_unitary(c, t, n, pauli("z"))
-    if kind == "cnot":
-        c = spec.control or 1
-        t = spec.target or 2
-        n = max(spec.n, 2)
-        return cnot_matrix(c, t, n)
     if kind in CIRCUITS:
         return canonical_toffoli(CIRCUITS[kind][0].n)
-    if kind in X_POWER_ALPHA:
-        if spec.control is None or spec.target is None:
-            raise ValueError(f"{kind} needs explicit control and target sites")
-        return controlled_x_power(
-            spec.control, spec.target, spec.n, X_POWER_ALPHA[kind]
-        )
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if spec.control is None or spec.target is None:
+        raise ValueError(f"{kind} needs explicit control and target sites")
+    if kind == "cz":
+        block = pauli("z")
+    elif kind == "cnot":
+        block = pauli("x")
+    else:
+        block = x_power(X_POWER_ALPHA[kind])
+    return controlled_unitary(spec.control, spec.target, spec.n, block)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +296,20 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
     return program
 
 
+def _check_schedule_config(cfg: PhysicalConfig | None, timings: GateSchedule) -> None:
+    """A config given beside a schedule must be the one the schedule was solved for."""
+    if cfg is not None and cfg != timings.cfg:
+        raise ValueError(
+            f"config {cfg} differs from the config of the {timings.gate} "
+            f"schedule, {timings.cfg}"
+        )
+
+
 def pulse_component(
     spec: GateSpec, cfg: PhysicalConfig, timings: GateSchedule
 ) -> np.ndarray:
     """Evaluate one component gate as the literal product of its pulses."""
+    _check_schedule_config(cfg, timings)
     return program_matrix(component_program(spec, timings))
 
 
@@ -431,11 +429,14 @@ def _registered_build(name: str, timings: GateSchedule) -> tuple[np.ndarray, flo
 def _registered_pulse(
     name: str, cfg: PhysicalConfig | None, timings: GateSchedule | None
 ) -> np.ndarray:
-    """Pulse matrix of a whole gate."""
+    """Pulse matrix of a whole gate, from ``timings`` or from the schedule
+    solved for ``cfg`` (natural units when neither is given)."""
     if timings is None:
         if cfg is None:
             cfg = PhysicalConfig.natural_units()
         timings = gate_timing_table(GATE_REGISTRY[name][0], cfg)
+    else:
+        _check_schedule_config(cfg, timings)
     return _registered_build(name, timings)[0]
 
 

@@ -245,8 +245,8 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
         raw = (stacked @ psi).reshape(-1, len(psi))
         pairs = raw.view(float)  # re, im side by side
         drift = np.abs(np.sqrt(np.einsum("ij,ij->i", pairs, pairs)) - 1.0)
-        if drift.max() > NORM_DRIFT_LIMIT:
-            first_bad = int(np.argmax(drift > NORM_DRIFT_LIMIT))
+        if not drift.max() <= NORM_DRIFT_LIMIT:  # a NaN drift fails too
+            first_bad = int(np.argmax(~(drift <= NORM_DRIFT_LIMIT)))
             at = step + 1 + first_bad
             raise IntegrationError(
                 f"norm drift {drift[first_bad]:.3e} at t={at * dt!r} (step {at}, "

@@ -107,10 +107,6 @@ class TimingConstraint:
         if self.coefficient is not None and self.coefficient < 0:
             raise ValueError(f"coefficient must be >= 0, got {self.coefficient}")
 
-    @property
-    def residue(self) -> float:
-        return float(self.residue_over_pi) * math.pi
-
     def bound(self, cfg: PhysicalConfig) -> "TimingConstraint":
         return self.with_coefficient(float(self.level) * self.kind.knob_value(cfg))
 

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -18,10 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinforge
-from spinforge import cli, gates
+from spinforge import cli, gates, oracle
 from spinforge.cli import main
 from spinforge.tensor import FidelityReport, matrix_from_json
-from spinforge.timing import ADJOINT_BASE, COMPONENT_TABLE, GATE_KINDS, parse_gate_name
+from spinforge.timing import (
+    ADJOINT_BASE,
+    COMPONENT_TABLE,
+    GATE_KINDS,
+    SHARED_CONSTANTS,
+    parse_gate_name,
+)
 
 
 def run_cli(capsys, *argv):
@@ -686,6 +693,15 @@ JSON_COMMANDS = [
 ]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse a document the way a strict JSON reader does: no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def assert_one_sorted_line(out):
     """Stdout is one line: the document as json.dumps(..., sort_keys=True) writes it."""
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
@@ -740,6 +756,11 @@ class TestSimulateBadNumbers:
             (["--t-final", "1", "--dt", "inf"], "dt must be finite, got inf"),
             (["--t-final", "1e300", "--dt", "1e-300"], "t_final / dt = inf steps"),
             (["--t-final", "1e-320"], "t_final = 1e-320 is too small for the default step"),
+            (["--t-final", "0", "--dt", "nan"], "dt must be finite, got nan"),
+            (["--t-final", "0", "--dt", "inf"], "dt must be finite, got inf"),
+            (["--t-final", "0", "--dt", "0"], "dt must be positive, got 0.0"),
+            (["--t-final", "0", "--dt", "-1"], "dt must be positive, got -1.0"),
+            (["--t-final", "nan", "--dt", "nan"], "dt must be finite, got nan"),
         ],
     )
     def test_named_error_exit_3(self, capsys, flags, message):
@@ -747,6 +768,65 @@ class TestSimulateBadNumbers:
         code, out = run_cli(capsys, *argv)
         assert code == 3
         assert message in payload_from(out)["payload"]["message"]
+        code, out = run_cli(capsys, *argv[:-1])
+        assert code == 3
+        assert out.startswith(f"error: {message}")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_knobs_end_in_the_drift_error(self, capsys):
+        argv = ["simulate", "--n", "1", "--psi0", "0", "--t-final", "1e-300",
+                "--b0", "1e300", "--b1", "1e6", "--natural-units", "--json"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        assert strict_json(out) == {
+            "status": "error",
+            "payload": {
+                "message": "norm drift nan at t=1e-304 (step 1, dt=1e-304); "
+                "the step size is unstable"
+            },
+        }
+
+
+# Each command made infeasible the same way: the cz t1 window in
+# shared-constants mode with J/B' irrational. build and verify always
+# derive their schedules, so the test makes gates solve in shared mode.
+INFEASIBLE_MESSAGE = (
+    "cz window t1 is infeasible with the shared constants: coefficient ratio "
+    "2.8284271247461903 of (J*t = (2p+1)*pi) vs (B'*t = (2q+1/4)*pi) is not rational"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "cz"], ["schedule", "cz", "--mode", "shared-constants"], ["verify", "cz"]],
+    ids=lambda argv: argv[0],
+)
+def test_infeasible_commands_exit_2_through_main(capsys, monkeypatch, argv):
+    shared = functools.partial(gates.gate_timing_table, mode=SHARED_CONSTANTS)
+    monkeypatch.setattr(gates, "gate_timing_table", shared)
+    argv = [*argv, "--natural-units", "--j", repr(math.sqrt(2)), "--b-prime", "0.5"]
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert strict_json(out) == {"status": "infeasible", "payload": {"message": INFEASIBLE_MESSAGE}}
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == f"infeasible: {INFEASIBLE_MESSAGE}\n"
+
+
+def test_integration_error_under_verify_oracle_exits_3(capsys, monkeypatch):
+    def unstable(*args, **kwargs):
+        raise oracle.IntegrationError("norm drift nan at t=1.0 (step 1, dt=1.0)")
+
+    monkeypatch.setattr(oracle, "lab_propagator", unstable)
+    argv = ["verify", "cz", "--oracle", "--natural-units"]
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 3
+    assert strict_json(out) == {
+        "status": "error", "payload": {"message": "norm drift nan at t=1.0 (step 1, dt=1.0)"}
+    }
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "error: norm drift nan at t=1.0 (step 1, dt=1.0)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +878,9 @@ def test_random_command_lines_end_in_a_documented_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
-    if code == 3 and "--json" in argv:
-        assert json.loads(out.getvalue())["status"] == "error", (argv, err.getvalue())
+    if "--json" in argv:
+        doc = strict_json(out.getvalue())
+        assert cli._STATUS_EXIT[doc["status"]] == code, (argv, err.getvalue())
 
 
 class _ClosedPipe(io.TextIOBase):

@@ -292,6 +292,17 @@ class TestIdealComponents:
             v = ideal_component(GateSpec(adjoint, c, t, n))
             assert np.max(np.abs(v - dagger(u))) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "spec",
+        [GateSpec("cz"), GateSpec("cnot", n=3), GateSpec("cnot", control=2, n=2),
+         GateSpec("cx_half", target=3, n=3)],
+        ids=lambda s: s.label,
+    )
+    def test_controlled_gate_without_sites_is_named(self, spec):
+        # No site is filled in: a 1-qubit cz spec is not a 4x4 CZ.
+        with pytest.raises(ValueError, match=f"{spec.kind} needs explicit control and target sites"):
+            ideal_component(spec)
+
 
 class TestPulseComponents:
     @pytest.mark.parametrize("spec", AUDIT_SPECS_3Q, ids=lambda s: s.label)
@@ -404,6 +415,35 @@ class TestCompositions:
 
 
 SI_CFG = PhysicalConfig()  # an electron at resonance in 1 T
+
+
+class TestConfigBesideASchedule:
+    """A config given with a schedule must be the one the schedule was solved for."""
+
+    OTHER = PhysicalConfig.natural_units(j_coupling=0.4)
+
+    @pytest.mark.parametrize(
+        "gate, build",
+        [("not", not_gate_1q), ("cz", controlled_z_2q), ("cnot", cnot_2q),
+         ("ccnot", compose_ccnot), ("cccnot", compose_cccnot)],
+    )
+    def test_whole_gate_rejects_another_config(self, gate, build):
+        schedule = gate_timing_table(gate, CFG)
+        with pytest.raises(ValueError) as exc:
+            build(self.OTHER, schedule)
+        assert str(exc.value) == (
+            f"config {self.OTHER} differs from the config of the {gate} schedule, {CFG}"
+        )
+        assert np.array_equal(build(None, schedule), build(CFG, schedule))
+
+    def test_component_rejects_another_config(self, ccnot_schedule):
+        spec = AUDIT_SPECS_3Q[0]
+        with pytest.raises(ValueError, match="differs from the config of the ccnot schedule"):
+            pulse_component(spec, self.OTHER, ccnot_schedule)
+        assert np.array_equal(
+            pulse_component(spec, None, ccnot_schedule),
+            pulse_component(spec, CFG, ccnot_schedule),
+        )
 
 
 class TestComponentPulses:

@@ -597,6 +597,14 @@ class TestBadInputsNamed:
         with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
             analytic_rotating(CFG_DRIVEN, 1, basis_state(1, "0"), t)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_step_maps_raise_not_return_nan(self):
+        # The step maps overflow to NaN states, and NaN > limit is False:
+        # the drift check must fail them, not pass them.
+        cfg = PhysicalConfig.natural_units(b0=1e300, b1=1e6)
+        with pytest.raises(IntegrationError, match=r"norm drift nan at t=1e-304 \(step 1,"):
+            integrate_lab(cfg, 1, basis_state(1, "0"), 1e-300)
+
     @pytest.mark.parametrize("n", [0, 5])
     def test_propagator_names_the_system_size(self, n):
         with pytest.raises(ValueError, match=f"system size {n} outside 1..4"):
