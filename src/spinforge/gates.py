@@ -296,20 +296,8 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
     return program
 
 
-def _check_schedule_config(cfg: PhysicalConfig | None, timings: GateSchedule) -> None:
-    """A config given beside a schedule must be the one the schedule was solved for."""
-    if cfg is not None and cfg != timings.cfg:
-        raise ValueError(
-            f"config {cfg} differs from the config of the {timings.gate} "
-            f"schedule, {timings.cfg}"
-        )
-
-
-def pulse_component(
-    spec: GateSpec, cfg: PhysicalConfig, timings: GateSchedule
-) -> np.ndarray:
+def pulse_component(spec: GateSpec, timings: GateSchedule) -> np.ndarray:
     """Evaluate one component gate as the literal product of its pulses."""
-    _check_schedule_config(cfg, timings)
     return program_matrix(component_program(spec, timings))
 
 
@@ -426,53 +414,57 @@ def _registered_build(name: str, timings: GateSchedule) -> tuple[np.ndarray, flo
     return program_matrix(program), program.total_time
 
 
-def _registered_pulse(
-    name: str, cfg: PhysicalConfig | None, timings: GateSchedule | None
-) -> np.ndarray:
-    """Pulse matrix of a whole gate, from ``timings`` or from the schedule
-    solved for ``cfg`` (natural units when neither is given)."""
+def _registered_pulse(name: str, timings: GateSchedule | None) -> np.ndarray:
+    """Pulse matrix of a whole gate, from ``timings`` or, when none is given,
+    from its table's natural-units derive-constants schedule.
+
+    The default is exact for every config: a derive-constants pulse takes
+    each angle from the table's witnesses, so it depends on the gate table
+    alone, not on the config the schedule was solved for.
+    """
     if timings is None:
-        if cfg is None:
-            cfg = PhysicalConfig.natural_units()
-        timings = gate_timing_table(GATE_REGISTRY[name][0], cfg)
-    else:
-        _check_schedule_config(cfg, timings)
+        timings = gate_timing_table(GATE_REGISTRY[name][0], PhysicalConfig.natural_units())
     return _registered_build(name, timings)[0]
 
 
-def not_gate_1q(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Composed single-qubit NOT; equals X up to the global phase -i."""
-    return _registered_pulse("not", cfg, timings)
+def not_gate_1q(timings: GateSchedule | None = None) -> np.ndarray:
+    """Composed single-qubit NOT; equals X up to the global phase -i.
+
+    Without ``timings``: natural units, exact for any config (see
+    ``_registered_pulse``)."""
+    return _registered_pulse("not", timings)
 
 
-def controlled_z_2q(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Two-qubit controlled-Z from the evolution operator alone."""
-    return _registered_pulse("cz", cfg, timings)
+def controlled_z_2q(timings: GateSchedule | None = None) -> np.ndarray:
+    """Two-qubit controlled-Z from the evolution operator alone.
+
+    Without ``timings``: natural units, exact for any config (see
+    ``_registered_pulse``)."""
+    return _registered_pulse("cz", timings)
 
 
-def cnot_2q(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Controlled-Z conjugated by the target-qubit y rotation."""
-    return _registered_pulse("cnot", cfg, timings)
+def cnot_2q(timings: GateSchedule | None = None) -> np.ndarray:
+    """Controlled-Z conjugated by the target-qubit y rotation.
+
+    Without ``timings``: natural units, exact for any config (see
+    ``_registered_pulse``)."""
+    return _registered_pulse("cnot", timings)
 
 
-def compose_ccnot(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Five-component doubly-controlled NOT on three qubits."""
-    return _registered_pulse("ccnot", cfg, timings)
+def compose_ccnot(timings: GateSchedule | None = None) -> np.ndarray:
+    """Five-component doubly-controlled NOT on three qubits.
+
+    Without ``timings``: natural units, exact for any config (see
+    ``_registered_pulse``)."""
+    return _registered_pulse("ccnot", timings)
 
 
-def compose_cccnot(
-    cfg: PhysicalConfig | None = None, timings: GateSchedule | None = None
-) -> np.ndarray:
-    """Thirteen-component triply-controlled NOT on four qubits."""
-    return _registered_pulse("cccnot", cfg, timings)
+def compose_cccnot(timings: GateSchedule | None = None) -> np.ndarray:
+    """Thirteen-component triply-controlled NOT on four qubits.
+
+    Without ``timings``: natural units, exact for any config (see
+    ``_registered_pulse``)."""
+    return _registered_pulse("cccnot", timings)
 
 
 def ideal_sequence_product(sequence) -> np.ndarray:
@@ -505,11 +497,11 @@ def circuit_component_pulses(cfg: PhysicalConfig) -> dict[GateSpec, np.ndarray]:
     return pulses
 
 
-def audit_components(cfg: PhysicalConfig | None = None) -> list[FidelityReport]:
-    """Fidelity report of every pulse component against its ideal target."""
-    if cfg is None:
-        cfg = PhysicalConfig.natural_units()
-    return component_reports(circuit_component_pulses(cfg))
+def audit_components() -> list[FidelityReport]:
+    """Fidelity report of every pulse component against its ideal target,
+    from the natural-units schedules (the pulses are the same under any
+    config)."""
+    return component_reports(circuit_component_pulses(PhysicalConfig.natural_units()))
 
 
 def flagged_components(reports) -> list[FidelityReport]:

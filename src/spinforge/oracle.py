@@ -90,19 +90,22 @@ def _step_coefficients(g0, ga, gb, omega, dt):
     trig polynomial of degree _HARMONICS in θ. Sampled at 2·_HARMONICS + 1
     equally spaced phases, a discrete Fourier sum recovers it exactly.
     Returns the coefficient matrices stacked in the order of _harmonics.
+    An overflowing step gives non-finite coefficients without a numpy
+    warning; the drift check of _integrate names it.
     """
     samples = 2 * _HARMONICS + 1
     theta = 2 * np.pi * np.arange(samples) / samples
     wt = theta[:, None] + (omega * dt / 2) * np.arange(3)
-    g = g0 + np.cos(wt)[..., None, None] * ga + np.sin(wt)[..., None, None] * gb
-    a1, a2, a4 = g[:, 0], g[:, 1], g[:, 2]
-    m1 = a2 + (dt / 2) * (a2 @ a1)
-    m2 = a2 + (dt / 2) * (a2 @ m1)
-    m3 = a4 + dt * (a4 @ m2)
-    increments = (dt / 6) * (a1 + 2 * m1 + 2 * m2 + m3)
     fourier = _harmonics(theta).T * (2 / samples)
     fourier[0] /= 2  # the constant term has weight 1/samples
-    return (fourier @ increments.reshape(samples, -1)).reshape(samples, *g0.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = g0 + np.cos(wt)[..., None, None] * ga + np.sin(wt)[..., None, None] * gb
+        a1, a2, a4 = g[:, 0], g[:, 1], g[:, 2]
+        m1 = a2 + (dt / 2) * (a2 @ a1)
+        m2 = a2 + (dt / 2) * (a2 @ m1)
+        m3 = a4 + dt * (a4 @ m2)
+        increments = (dt / 6) * (a1 + 2 * m1 + 2 * m2 + m3)
+        return (fourier @ increments.reshape(samples, -1)).reshape(samples, *g0.shape)
 
 
 def _step_maps(coeffs, omega, t0, dt, count):

@@ -84,7 +84,7 @@ def test_criterion_1_controlled_z(schedules):
 
 
 def test_criterion_2_cnot_sandwich(schedules):
-    got = cnot_2q(CFG, schedules["cnot"])
+    got = cnot_2q(schedules["cnot"])
     target = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
@@ -98,7 +98,7 @@ def test_criterion_2_cnot_sandwich(schedules):
 
 
 def test_criterion_3_not_gate(schedules):
-    got = not_gate_1q(CFG, schedules["not"])
+    got = not_gate_1q(schedules["not"])
     dev = float(np.max(np.abs(got - (-1j) * pauli("x"))))
     r = phase_fidelity(got, pauli("x"))
     ok = (
@@ -137,7 +137,7 @@ def test_criterion_5_ideal_cccnot_identity():
 
 
 def test_criterion_6_pulse_layer_audit(schedules):
-    reports = audit_components(CFG)
+    reports = audit_components()
     labels = {r.gate_label for r in reports}
     expected_specs = AUDIT_SPECS_3Q + AUDIT_SPECS_4Q
     covered = all(spec.label in labels for spec in expected_specs)
@@ -150,7 +150,7 @@ def test_criterion_6_pulse_layer_audit(schedules):
         sched = schedules[sched_name]
         for spec in specs:
             unitary_defects.append(
-                unitarity_defect(pulse_component(spec, CFG, sched))
+                unitarity_defect(pulse_component(spec, sched))
             )
     worst_unitarity = max(unitary_defects)
     flagged = flagged_components(reports)
@@ -271,16 +271,16 @@ def test_criterion_10_property_suite(schedules):
 
     # Unitarity of every built operator.
     built = [
-        not_gate_1q(CFG, schedules["not"]),
+        not_gate_1q(schedules["not"]),
         u_phi(2, schedules["cz"].solutions["t1"], schedules["cz"].window_config("t1")),
-        cnot_2q(CFG, schedules["cnot"]),
+        cnot_2q(schedules["cnot"]),
         program_matrix(component_program(GateSpec("cx_half", 2, 3, 3), schedules["ccnot"])),
         program_matrix(component_program(GateSpec("cx_quarter", 1, 4, 4), schedules["cccnot"])),
     ]
     for spec in AUDIT_SPECS_3Q:
-        built.append(pulse_component(spec, CFG, schedules["ccnot"]))
+        built.append(pulse_component(spec, schedules["ccnot"]))
     for spec in AUDIT_SPECS_4Q:
-        built.append(pulse_component(spec, CFG, schedules["cccnot"]))
+        built.append(pulse_component(spec, schedules["cccnot"]))
     worst_unitarity = max(unitarity_defect(u) for u in built)
     checks.append(("unitarity", worst_unitarity <= EXACT_TOL))
 
@@ -319,8 +319,8 @@ def test_criterion_10_property_suite(schedules):
     ):
         iu = ideal_component(GateSpec(base, c, t, n))
         iv = ideal_component(GateSpec(adj, c, t, n))
-        pu = pulse_component(GateSpec(base, c, t, n), CFG, sched)
-        pv = pulse_component(GateSpec(adj, c, t, n), CFG, sched)
+        pu = pulse_component(GateSpec(base, c, t, n), sched)
+        pv = pulse_component(GateSpec(adj, c, t, n), sched)
         if (
             np.max(np.abs(iv - dagger(iu))) > EXACT_TOL
             or np.max(np.abs(pv - dagger(pu))) > EXACT_TOL

@@ -772,7 +772,6 @@ class TestSimulateBadNumbers:
         assert code == 3
         assert out.startswith(f"error: {message}")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_knobs_end_in_the_drift_error(self, capsys):
         argv = ["simulate", "--n", "1", "--psi0", "0", "--t-final", "1e-300",
                 "--b0", "1e300", "--b1", "1e6", "--natural-units", "--json"]

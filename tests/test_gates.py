@@ -166,19 +166,19 @@ class TestUPhi:
 
 class TestNotGate:
     def test_exact_matrix(self):
-        got = not_gate_1q(CFG)
+        got = not_gate_1q()
         assert np.max(np.abs(got - (-1j) * pauli("x"))) <= 1e-12
 
     def test_action_on_up_state(self):
-        got = not_gate_1q(CFG) @ basis_state(1, "0")
+        got = not_gate_1q() @ basis_state(1, "0")
         assert np.allclose(got, [0, -1j], atol=1e-12)
 
     def test_applied_twice_gives_minus_identity(self):
-        u = not_gate_1q(CFG)
+        u = not_gate_1q()
         assert np.max(np.abs(u @ u + identity(2))) <= 1e-12
 
     def test_phase_report(self):
-        r = phase_fidelity(not_gate_1q(CFG), pauli("x"))
+        r = phase_fidelity(not_gate_1q(), pauli("x"))
         assert r.fidelity == pytest.approx(1.0, abs=1e-12)
         assert r.global_phase_rad == pytest.approx(-math.pi / 2, abs=1e-12)
 
@@ -223,22 +223,22 @@ class TestHadamardLike:
 
 class TestCnot2q:
     def test_exact_permutation(self):
-        got = cnot_2q(CFG)
+        got = cnot_2q()
         expected = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_truth_table_rows(self):
-        u = cnot_2q(CFG)
+        u = cnot_2q()
         assert np.allclose(u @ basis_state(2, "10"), basis_state(2, "11"), atol=1e-12)
         assert np.allclose(u @ basis_state(2, "01"), basis_state(2, "01"), atol=1e-12)
 
     def test_conjugation_identity(self, cz_schedule):
-        cz = controlled_z_2q(CFG, cz_schedule)
+        cz = controlled_z_2q(cz_schedule)
         u_h = kron(identity(2), hadamard_like())
         sandwich = u_h @ cz @ dagger(u_h)
-        assert np.max(np.abs(sandwich - cnot_2q(CFG))) <= 1e-12
+        assert np.max(np.abs(sandwich - cnot_2q())) <= 1e-12
 
 
 class TestIdealComponents:
@@ -307,19 +307,19 @@ class TestIdealComponents:
 class TestPulseComponents:
     @pytest.mark.parametrize("spec", AUDIT_SPECS_3Q, ids=lambda s: s.label)
     def test_three_qubit_components_match_ideal(self, spec, ccnot_schedule):
-        pulse = pulse_component(spec, CFG, ccnot_schedule)
+        pulse = pulse_component(spec, ccnot_schedule)
         ideal = ideal_component(spec)
         assert np.max(np.abs(pulse - ideal)) <= 1e-12
 
     @pytest.mark.parametrize("spec", AUDIT_SPECS_4Q, ids=lambda s: s.label)
     def test_four_qubit_components_match_ideal(self, spec, cccnot_schedule):
-        pulse = pulse_component(spec, CFG, cccnot_schedule)
+        pulse = pulse_component(spec, cccnot_schedule)
         ideal = ideal_component(spec)
         assert np.max(np.abs(pulse - ideal)) <= 1e-12
 
     def test_adjoint_kind_is_dagger_of_base(self, ccnot_schedule):
-        base = pulse_component(GateSpec("cx_half", 2, 3, 3), CFG, ccnot_schedule)
-        adj = pulse_component(GateSpec("cx_neg_half", 2, 3, 3), CFG, ccnot_schedule)
+        base = pulse_component(GateSpec("cx_half", 2, 3, 3), ccnot_schedule)
+        adj = pulse_component(GateSpec("cx_neg_half", 2, 3, 3), ccnot_schedule)
         assert np.max(np.abs(adj - dagger(base))) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -339,7 +339,7 @@ class TestPulseComponents:
             else:
                 replayed = replayed * np.exp(1j * seg.angle)
         assert np.max(
-            np.abs(replayed - pulse_component(spec, CFG, schedule))
+            np.abs(replayed - pulse_component(spec, schedule))
         ) <= 1e-13
 
     def test_program_pulse_counts(self, ccnot_schedule, cccnot_schedule):
@@ -364,11 +364,11 @@ class TestPulseComponents:
 
     def test_wrong_schedule_rejected(self, ccnot_schedule):
         with pytest.raises(ValueError, match="needs"):
-            pulse_component(GateSpec("cx_quarter", 1, 4, 4), CFG, ccnot_schedule)
+            pulse_component(GateSpec("cx_quarter", 1, 4, 4), ccnot_schedule)
 
     def test_unknown_component_rejected(self, ccnot_schedule):
         with pytest.raises(ValueError, match="no pulse construction"):
-            pulse_component(GateSpec("cnot", 1, 3, 3), CFG, ccnot_schedule)
+            pulse_component(GateSpec("cnot", 1, 3, 3), ccnot_schedule)
 
 
 def toffoli_truth_table_oracle(u, n):
@@ -394,56 +394,27 @@ class TestCompositions:
         assert np.max(np.abs(prod - canonical_toffoli(4))) <= 1e-12
 
     def test_pulse_ccnot(self, ccnot_schedule):
-        u = compose_ccnot(CFG, ccnot_schedule)
+        u = compose_ccnot(ccnot_schedule)
         assert np.max(np.abs(u - canonical_toffoli(3))) <= 1e-12
         toffoli_truth_table_oracle(u, 3)
 
     def test_pulse_cccnot(self, cccnot_schedule):
-        u = compose_cccnot(CFG, cccnot_schedule)
+        u = compose_cccnot(cccnot_schedule)
         assert np.max(np.abs(u - canonical_toffoli(4))) <= 1e-12
         toffoli_truth_table_oracle(u, 4)
 
     def test_ccnot_truth_rows(self, ccnot_schedule):
-        u = compose_ccnot(CFG, ccnot_schedule)
+        u = compose_ccnot(ccnot_schedule)
         assert np.allclose(u @ basis_state(3, "110"), basis_state(3, "111"), atol=1e-12)
         assert np.allclose(u @ basis_state(3, "010"), basis_state(3, "010"), atol=1e-12)
 
     def test_cccnot_truth_rows(self, cccnot_schedule):
-        u = compose_cccnot(CFG, cccnot_schedule)
+        u = compose_cccnot(cccnot_schedule)
         assert np.allclose(u @ basis_state(4, "1110"), basis_state(4, "1111"), atol=1e-12)
         assert np.allclose(u @ basis_state(4, "1010"), basis_state(4, "1010"), atol=1e-12)
 
 
 SI_CFG = PhysicalConfig()  # an electron at resonance in 1 T
-
-
-class TestConfigBesideASchedule:
-    """A config given with a schedule must be the one the schedule was solved for."""
-
-    OTHER = PhysicalConfig.natural_units(j_coupling=0.4)
-
-    @pytest.mark.parametrize(
-        "gate, build",
-        [("not", not_gate_1q), ("cz", controlled_z_2q), ("cnot", cnot_2q),
-         ("ccnot", compose_ccnot), ("cccnot", compose_cccnot)],
-    )
-    def test_whole_gate_rejects_another_config(self, gate, build):
-        schedule = gate_timing_table(gate, CFG)
-        with pytest.raises(ValueError) as exc:
-            build(self.OTHER, schedule)
-        assert str(exc.value) == (
-            f"config {self.OTHER} differs from the config of the {gate} schedule, {CFG}"
-        )
-        assert np.array_equal(build(None, schedule), build(CFG, schedule))
-
-    def test_component_rejects_another_config(self, ccnot_schedule):
-        spec = AUDIT_SPECS_3Q[0]
-        with pytest.raises(ValueError, match="differs from the config of the ccnot schedule"):
-            pulse_component(spec, self.OTHER, ccnot_schedule)
-        assert np.array_equal(
-            pulse_component(spec, None, ccnot_schedule),
-            pulse_component(spec, CFG, ccnot_schedule),
-        )
 
 
 class TestComponentPulses:
@@ -455,7 +426,7 @@ class TestComponentPulses:
         pulses = component_pulses(schedule)
         assert list(pulses) == list(specs)
         for spec, pulse in pulses.items():
-            assert np.array_equal(pulse, pulse_component(spec, CFG, schedule))
+            assert np.array_equal(pulse, pulse_component(spec, schedule))
 
     def test_other_schedules_rejected(self, cz_schedule):
         with pytest.raises(ValueError, match="not a ccnot or cccnot circuit"):
@@ -480,7 +451,7 @@ class TestComponentPulses:
     def test_composed_gate_matches_the_literal_replay(self, cfg, compose, label, sequence):
         schedule = gate_timing_table(label.split("/")[0], cfg)
         replayed = program_matrix(sequence_program(label, sequence, schedule))
-        assert np.max(np.abs(compose(cfg, schedule) - replayed)) <= 1e-13
+        assert np.max(np.abs(compose(schedule) - replayed)) <= 1e-13
 
     def test_component_reports_follow_the_pulses(self, cccnot_schedule):
         pulses = component_pulses(cccnot_schedule)
@@ -527,18 +498,18 @@ class TestSigmaAngle:
 
 class TestAudit:
     def test_reports_cover_all_component_specs(self):
-        reports = audit_components(CFG)
+        reports = audit_components()
         labels = {r.gate_label for r in reports}
         assert len(reports) == len(AUDIT_SPECS_3Q) + len(AUDIT_SPECS_4Q)
         for spec in AUDIT_SPECS_3Q + AUDIT_SPECS_4Q:
             assert spec.label in labels
 
     def test_no_component_flagged(self):
-        reports = audit_components(CFG)
+        reports = audit_components()
         assert flagged_components(reports) == []
 
     def test_phase_recorded_where_exact(self):
-        for r in audit_components(CFG):
+        for r in audit_components():
             if r.fidelity >= 1 - 1e-9:
                 assert abs(r.global_phase_rad) <= 1e-9
 
@@ -592,6 +563,8 @@ WRAPPERS = {
     "cccnot": compose_cccnot,
 }
 
+OTHER_CFG = PhysicalConfig.natural_units(j_coupling=0.3, b_prime=0.2)
+
 # Every component name the parser accepts, adjoint kinds included.
 COMPONENT_NAMES = [
     f"{kind}:{c},{t}@{n}"
@@ -609,8 +582,12 @@ class TestEveryAcceptedName:
     def test_build_is_exact(self, name):
         build = build_gate(name, CFG)
         assert build.report.fidelity == pytest.approx(1.0, abs=1e-12)
+        # A derive-constants pulse depends on the gate table alone: the
+        # same matrix under any config, and the whole-gate default.
+        for cfg in (SI_CFG, OTHER_CFG):
+            assert np.array_equal(build_gate(name, cfg).pulse, build.pulse)
         if name in WRAPPERS:
-            assert np.array_equal(WRAPPERS[name](CFG), build.pulse)
+            assert np.array_equal(WRAPPERS[name](), build.pulse)
 
 
 # ---------------------------------------------------------------------------

@@ -597,7 +597,6 @@ class TestBadInputsNamed:
         with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
             analytic_rotating(CFG_DRIVEN, 1, basis_state(1, "0"), t)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_step_maps_raise_not_return_nan(self):
         # The step maps overflow to NaN states, and NaN > limit is False:
         # the drift check must fail them, not pass them.
