@@ -417,6 +417,34 @@ class TestCompositions:
 SI_CFG = PhysicalConfig()  # an electron at resonance in 1 T
 
 
+class TestScheduleOfAnyConfig:
+    """A derive-constants pulse takes every angle from the gate table's
+    witnesses: a schedule solved for any config gives the same matrix."""
+
+    CONFIGS = (SI_CFG, PhysicalConfig.natural_units(j_coupling=0.4, b_prime=0.2))
+
+    @pytest.mark.parametrize(
+        "gate, build",
+        [("not", not_gate_1q), ("cz", controlled_z_2q), ("cnot", cnot_2q),
+         ("ccnot", compose_ccnot), ("cccnot", compose_cccnot)],
+    )
+    def test_whole_gate_matches_its_default(self, gate, build):
+        default = build()
+        assert np.array_equal(build(gate_timing_table(gate, CFG)), default)
+        for cfg in self.CONFIGS:
+            schedule = gate_timing_table(gate, cfg)
+            assert schedule.cfg == cfg
+            assert np.array_equal(build(schedule), default)
+
+    @pytest.mark.parametrize("gate", ["ccnot", "cccnot"])
+    def test_components_match_the_natural_units_pulses(self, gate):
+        natural = component_pulses(gate_timing_table(gate, CFG))
+        for cfg in self.CONFIGS:
+            schedule = gate_timing_table(gate, cfg)
+            for spec, pulse in natural.items():
+                assert np.array_equal(pulse_component(spec, schedule), pulse)
+
+
 class TestComponentPulses:
     @pytest.mark.parametrize(
         "gate, specs", [("ccnot", AUDIT_SPECS_3Q), ("cccnot", AUDIT_SPECS_4Q)]
