@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable
+from functools import cache, partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -91,24 +91,32 @@ def canonical_toffoli(n: int) -> np.ndarray:
     return m
 
 
+@cache
 def ideal_component(spec: GateSpec) -> np.ndarray:
-    """Exact verification target for a gate spec."""
+    """Exact verification target for a gate spec.
+
+    Built once per spec and process; every caller shares the array, so it
+    is read-only.
+    """
     kind = spec.kind
     if kind == "not":
-        return pauli("x")
-    if kind == "hadamard_like":
-        return hadamard_like()
-    if kind in CIRCUITS:
-        return canonical_toffoli(CIRCUITS[kind][0].n)
-    if spec.control is None or spec.target is None:
+        target = pauli("x")
+    elif kind == "hadamard_like":
+        target = hadamard_like()
+    elif kind in CIRCUITS:
+        target = canonical_toffoli(CIRCUITS[kind][0].n)
+    elif spec.control is None or spec.target is None:
         raise ValueError(f"{kind} needs explicit control and target sites")
-    if kind == "cz":
-        block = pauli("z")
-    elif kind == "cnot":
-        block = pauli("x")
     else:
-        block = x_power(X_POWER_ALPHA[kind])
-    return controlled_unitary(spec.control, spec.target, spec.n, block)
+        if kind == "cz":
+            block = pauli("z")
+        elif kind == "cnot":
+            block = pauli("x")
+        else:
+            block = x_power(X_POWER_ALPHA[kind])
+        target = controlled_unitary(spec.control, spec.target, spec.n, block)
+    target.flags.writeable = False
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +165,10 @@ def _window_angle(
     return _float_angle(kind.knob_value(cfg) * timing.duration / divisor)
 
 
+@cache
 def _diagonal_of(key: tuple, n: int) -> np.ndarray | None:
-    """diag(P) of a z-only Pauli string, None if it has an x or y; validates both."""
+    """diag(P) of a z-only Pauli string, None if it has an x or y; validates
+    both. Worked out once per string and process; a diagonal is read-only."""
     factors = dict(zip(*key))
     if all(axis == "z" for axis in factors.values()):
         return z_diagonal(factors, n)
@@ -174,19 +184,16 @@ def program_matrix(program: PulseProgram) -> np.ndarray:
     the rows of U as exp(iθ) before the next x/y segment and once at the
     end. An x/y segment with angle exactly 0 is the identity: it is
     validated and skipped. Every other segment goes through ``expm_pauli``
-    and one dense product. Each distinct segment string is validated, and
-    each dense one built, once per call.
+    and one dense product. Each distinct segment string is validated once
+    per process (``_diagonal_of``), and each dense one built once per call.
     """
     n = program.n
-    diagonals: dict[tuple, np.ndarray | None] = {}
     strings: dict[tuple, np.ndarray] = {}
     u = identity(2**n)
     theta = np.zeros(2**n)
     for seg in program.segments:
         key = (seg.sites, seg.axes)
-        if key not in diagonals:
-            diagonals[key] = _diagonal_of(key, n)
-        diagonal = diagonals[key]
+        diagonal = _diagonal_of(key, n)
         if diagonal is not None:
             theta += seg.angle * diagonal
         elif seg.angle != 0:
@@ -197,20 +204,30 @@ def program_matrix(program: PulseProgram) -> np.ndarray:
     return np.exp(1j * theta)[:, None] * u
 
 
-def _u_phi_segments(
-    timing: TimingSolution, n: int, cfg: PhysicalConfig | None = None
+def _phase_angles(
+    timing: TimingSolution, cfg: PhysicalConfig | None = None
+) -> tuple[float, float, float, float]:
+    """The (z, x, zz, offset) sigma-level angles of a phase window."""
+    return (
+        _window_angle(timing, ConstraintKind.ZEEMAN, 2, cfg),
+        _window_angle(timing, ConstraintKind.DRIVE, 2, cfg),
+        _window_angle(timing, ConstraintKind.EXCHANGE, 4, cfg),
+        _window_angle(timing, ConstraintKind.OFFSET, 1, cfg),
+    )
+
+
+def _window_segments(
+    n: int, label: str, angles: tuple[float, float, float, float]
 ) -> list[PulseSegment]:
-    a_z = _window_angle(timing, ConstraintKind.ZEEMAN, 2, cfg)
-    a_x = _window_angle(timing, ConstraintKind.DRIVE, 2, cfg)
-    a_zz = _window_angle(timing, ConstraintKind.EXCHANGE, 4, cfg)
-    a_offset = _window_angle(timing, ConstraintKind.OFFSET, 1, cfg)
-    segments = [PulseSegment((), (), -a_offset, timing.label)]
+    """The segments of a phase window at its ``_phase_angles``."""
+    a_z, a_x, a_zz, a_offset = angles
+    segments = [PulseSegment((), (), -a_offset, label)]
     for i, j in pair_sites(n):
-        segments.append(PulseSegment((i, j), ("z", "z"), -a_zz, timing.label))
+        segments.append(PulseSegment((i, j), ("z", "z"), -a_zz, label))
     for site in range(1, n + 1):
-        segments.append(PulseSegment((site,), ("x",), a_x, timing.label))
+        segments.append(PulseSegment((site,), ("x",), a_x, label))
     for site in range(1, n + 1):
-        segments.append(PulseSegment((site,), ("z",), a_z, timing.label))
+        segments.append(PulseSegment((site,), ("z",), a_z, label))
     return segments
 
 
@@ -225,13 +242,29 @@ def u_phi(n: int, timing: TimingSolution, cfg: PhysicalConfig) -> np.ndarray:
     check_system_size(n)
     if not cfg.at_resonance:
         raise ValueError("u_phi requires the resonance condition omega = gamma*b0")
-    a_x = _window_angle(timing, ConstraintKind.DRIVE, 2, cfg)
+    angles = _phase_angles(timing, cfg)
+    a_x = angles[1]
     if n >= 3 and abs(_float_angle(2 * a_x)) > DRIVE_ELIMINATION_TOL:
         raise ValueError(
             f"drive factor is not eliminated: gamma*B1*t = {2 * a_x!r} mod 2*pi"
         )
-    segments = tuple(_u_phi_segments(timing, n, cfg))
+    segments = tuple(_window_segments(n, timing.label, angles))
     return program_matrix(PulseProgram(f"u_phi/{n}q", n, segments, timing.duration))
+
+
+@cache
+def _program_segments(
+    build: Callable[..., Iterable[PulseSegment]], *key
+) -> tuple[PulseSegment, ...]:
+    """The segments ``build(*key)`` gives, built once per key and process.
+
+    A key holds only what fixes the segments: the spec, the window labels
+    and the exact sigma-level angles read from the schedule's witnesses.
+    So every derive-constants schedule of a gate table, whatever its
+    config, shares one entry; a schedule whose witnesses give other angles
+    gets its own. The caller binds the schedule's durations.
+    """
+    return tuple(build(*key))
 
 
 def _pulse_angle(schedule: GateSchedule, label: str) -> float:
@@ -250,12 +283,17 @@ def _y_conjugated(
     )
 
 
-def _adjoint_program(program: PulseProgram, label: str) -> PulseProgram:
-    segments = tuple(
+def _adjoint_segments(segments: tuple[PulseSegment, ...]) -> tuple[PulseSegment, ...]:
+    return tuple(
         PulseSegment(s.sites, s.axes, -s.angle, s.duration_label)
-        for s in reversed(program.segments)
+        for s in reversed(segments)
     )
-    return PulseProgram(label, program.n, segments, program.total_time)
+
+
+def _adjoint_program(program: PulseProgram, label: str) -> PulseProgram:
+    return PulseProgram(
+        label, program.n, _adjoint_segments(program.segments), program.total_time
+    )
 
 
 def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
@@ -279,7 +317,24 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
         label_d = label_y
     else:
         label_phi, label_y, label_d = labels
-    a_d = _pulse_angle(schedule, label_d)
+    correction = (label_d, _pulse_angle(schedule, label_d))
+    window = schedule.solutions[label_phi]
+    phase = (window.label, _phase_angles(window))
+    y_pulse = (label_y, _pulse_angle(schedule, label_y))
+    segments = _program_segments(_component_segments, spec, correction, phase, y_pulse)
+    return PulseProgram(spec.label, spec.n, segments, schedule.totals[total_label])
+
+
+def _component_segments(
+    spec: GateSpec,
+    correction: tuple[str, float],
+    phase: tuple[str, tuple[float, float, float, float]],
+    y_pulse: tuple[str, float],
+) -> tuple[PulseSegment, ...]:
+    """A component's segments from its (label, angle) correction and y
+    pulses and its (label, angles) phase window; an adjoint kind reverses
+    them with negated angles."""
+    (label_d, a_d), (label_y, a_y) = correction, y_pulse
     c, t = spec.control, spec.target
     spectators = [s for s in range(1, spec.n + 1) if s not in (c, t)]
     spectator_pairs = [p for p in pair_sites(spec.n) if p != (min(c, t), max(c, t))]
@@ -287,13 +342,9 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
     inner = [PulseSegment((site,), ("z",), -a_d, label_d) for site in spectators]
     for i, j in spectator_pairs:
         inner.append(PulseSegment((i, j), ("z", "z"), a_d, label_d))
-    inner.extend(_u_phi_segments(schedule.solutions[label_phi], spec.n))
-    segments = _y_conjugated(t, _pulse_angle(schedule, label_y), label_y, inner)
-
-    program = PulseProgram(spec.label, spec.n, segments, schedule.totals[total_label])
-    if spec.is_adjoint:
-        program = _adjoint_program(program, spec.label)
-    return program
+    inner.extend(_window_segments(spec.n, *phase))
+    segments = _y_conjugated(t, a_y, label_y, inner)
+    return _adjoint_segments(segments) if spec.is_adjoint else segments
 
 
 def pulse_component(spec: GateSpec, timings: GateSchedule) -> np.ndarray:
@@ -313,32 +364,48 @@ def not_program(schedule: GateSchedule) -> PulseProgram:
     a_x = _window_angle(t1, ConstraintKind.DRIVE, 2)
     # The closing pulse is a full-angle rotation: omega*t2 = pi/2.
     a_pulse = _window_angle(t2, ConstraintKind.ZEEMAN, 1)
-    segments = (
+    segments = _program_segments(_not_segments, a_z, a_x, a_pulse)
+    return PulseProgram("not/1q", 1, segments, schedule.totals["T"])
+
+
+def _not_segments(a_z: float, a_x: float, a_pulse: float) -> tuple[PulseSegment, ...]:
+    return (
         PulseSegment((1,), ("x",), a_x, "t1"),
         PulseSegment((1,), ("z",), a_z, "t1"),
         PulseSegment((1,), ("z",), a_pulse, "t2"),
     )
-    return PulseProgram("not/1q", 1, segments, schedule.totals["T"])
 
 
 def cz_program(schedule: GateSchedule) -> PulseProgram:
     """Two-qubit controlled-Z: the evolution operator of the t1 window alone."""
-    segments = tuple(_u_phi_segments(schedule.solutions["t1"], 2))
+    window = schedule.solutions["t1"]
+    segments = _program_segments(_window_segments, 2, window.label, _phase_angles(window))
     return PulseProgram("cz/2q", 2, segments, schedule.totals["T"])
 
 
 def cnot_program(schedule: GateSchedule) -> PulseProgram:
     """The cz window between the target-qubit y pulse of t2 and its inverse."""
     a_y = _pulse_angle(schedule, "t2")
-    segments = _y_conjugated(2, a_y, "t2", cz_program(schedule).segments)
+    window = schedule.solutions["t1"]
+    segments = _program_segments(_cnot_segments, a_y, window.label, _phase_angles(window))
     return PulseProgram("cnot/2q", 2, segments, schedule.totals["T"])
+
+
+def _cnot_segments(
+    a_y: float, label: str, angles: tuple[float, float, float, float]
+) -> tuple[PulseSegment, ...]:
+    return _y_conjugated(2, a_y, "t2", _window_segments(2, label, angles))
 
 
 def hadamard_program(schedule: GateSchedule) -> PulseProgram:
     """The inverse y pulse of the cnot t2 window, exp(-i (pi/4) sigma_y)."""
-    segment = PulseSegment((1,), ("y",), -_pulse_angle(schedule, "t2"), "t2")
+    segments = _program_segments(_hadamard_segments, _pulse_angle(schedule, "t2"))
     duration = schedule.solutions["t2"].duration
-    return PulseProgram("hadamard_like/1q", 1, (segment,), duration)
+    return PulseProgram("hadamard_like/1q", 1, segments, duration)
+
+
+def _hadamard_segments(a_y: float) -> tuple[PulseSegment, ...]:
+    return (PulseSegment((1,), ("y",), -a_y, "t2"),)
 
 
 CCNOT_SEQUENCE: tuple[GateSpec, ...] = CIRCUITS["ccnot"]

@@ -104,22 +104,26 @@ class TimingConstraint:
             )
         if self.min_witness < 0:
             raise ValueError(f"min_witness must be >= 0, got {self.min_witness}")
-        if self.coefficient is not None and self.coefficient < 0:
-            raise ValueError(f"coefficient must be >= 0, got {self.coefficient}")
+        _check_coefficient(self.coefficient)
 
     def bound(self, cfg: PhysicalConfig) -> "TimingConstraint":
         return self.with_coefficient(float(self.level) * self.kind.knob_value(cfg))
 
     def with_coefficient(self, coefficient: float) -> "TimingConstraint":
-        """A copy bound to ``coefficient``, validated like any constraint."""
-        return TimingConstraint(
-            self.kind,
-            self.level,
-            self.residue_over_pi,
-            self.description,
-            self.min_witness,
-            coefficient,
-        )
+        """A copy bound to ``coefficient``.
+
+        The copy's level, residue and minimum witness are this constraint's
+        own, validated when it was built, so only the coefficient is checked.
+        """
+        _check_coefficient(coefficient)
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), coefficient=coefficient)
+        return copy
+
+
+def _check_coefficient(coefficient: float | None) -> None:
+    if coefficient is not None and coefficient < 0:
+        raise ValueError(f"coefficient must be >= 0, got {coefficient}")
 
 
 @dataclass(frozen=True)

@@ -459,6 +459,59 @@ class TestWorkPerCommand:
         assert code == 0
         assert counts == {"gate_timing_table": schedules, "component_program": components}
 
+    def test_a_second_command_builds_no_program_ideal_or_diagonal(
+        self, capsys, monkeypatch, cold_caches
+    ):
+        code, _ = run_cli(capsys, "verify", "all", "--natural-units")
+        assert code == 0
+        first = [cache.cache_info() for cache in cold_caches]
+        # not, cz, cnot and the 12 distinct components: 15 programs and 15
+        # ideal targets (a circuit is checked against canonical_toffoli).
+        # Each is built once.
+        assert [info.currsize for info in first[:2]] == [15, 15]
+        assert all(info.misses == info.currsize > 0 for info in first)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built again by a second command")
+
+        for name in ("PulseSegment", "controlled_unitary", "hadamard_like",
+                     "z_diagonal", "check_pauli_string"):
+            monkeypatch.setattr(gates, name, forbidden)
+        for argv in (["verify", "all"], ["build", "cx_neg_quarter:3,4"]):
+            code, _ = run_cli(capsys, *argv)
+            assert code == 0
+        second = [cache.cache_info() for cache in cold_caches]
+        assert [info.misses for info in second] == [info.misses for info in first]
+        assert all(b.hits > a.hits for a, b in zip(first, second))
+
+
+class TestColdAndWarmCaches:
+    """A command prints the same bytes whether the gate library's maps are
+    empty (a fresh interpreter) or were filled under another config."""
+
+    COMMANDS = (["build", "cx_quarter:1,4", "--json"], ["verify", "cccnot", "--json"])
+
+    def test_fresh_interpreter_and_warm_process_print_the_same_bytes(
+        self, capsys, cold_caches
+    ):
+        src = str(pathlib.Path(spinforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "spinforge.cli", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            for argv in self.COMMANDS
+        ]
+        for argv in (["verify", "all", "--natural-units"],
+                     ["build", "cx_quarter:1,4", "--natural-units", "--j", "0.3"]):
+            assert run_cli(capsys, *argv)[0] == 0
+        for argv, proc in zip(self.COMMANDS, fresh):
+            code, out = run_cli(capsys, *argv)
+            assert proc.stderr == b""
+            assert (code, out.encode()) == (proc.returncode, proc.stdout)
+            assert code == 0
+
 
 class TestSimulate:
     def test_pi_pulse(self, capsys):

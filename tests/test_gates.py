@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinforge.gates as gates_module
-from spinforge.config import PhysicalConfig
+from spinforge.config import GAMMA_ELECTRON, PhysicalConfig
 from spinforge.gates import (
     AUDIT_SPECS_3Q,
     AUDIT_SPECS_4Q,
     CCCNOT_SEQUENCE,
     CCNOT_SEQUENCE,
+    CIRCUITS,
     GATE_REGISTRY,
     GateSpec,
     _adjoint_program,
@@ -66,6 +67,7 @@ from spinforge.timing import (
     GateSchedule,
     PulseProgram,
     PulseSegment,
+    TimingWitness,
     gate_timing_table,
 )
 
@@ -781,3 +783,105 @@ class TestBuildersReadOnlyWitnesses:
         schedule = replace(ccnot_schedule, solutions=solutions)
         with pytest.raises(ValueError, match=r"^window t1 has no exchange witness$"):
             component_program(GateSpec("cx_half", 2, 3, 3), schedule)
+
+
+# ---------------------------------------------------------------------------
+# The process-wide maps: programs, ideal targets and diagonals built once
+# ---------------------------------------------------------------------------
+
+MAP_CONFIGS = {
+    "natural": CFG,
+    "si-0.37T": PhysicalConfig(b0=0.37, omega=GAMMA_ELECTRON * 0.37),
+    "natural-j0.3-bp0.2": OTHER_CFG,
+}
+
+
+def programs_of(name, schedule):
+    """The pulse programs a name's build replays: a circuit's distinct
+    components, or the one program of any other name."""
+    parsed = parse_gate_name(name)
+    if isinstance(parsed, GateSpec):
+        return [component_program(parsed, schedule)]
+    if parsed in CIRCUITS:
+        return [component_program(spec, schedule) for spec in dict.fromkeys(CIRCUITS[parsed])]
+    return [GATE_REGISTRY[parsed][1](schedule)]
+
+
+def exact(program):
+    """A program with every float as its exact bits."""
+    segments = [(s.sites, s.axes, s.angle.hex(), s.duration_label) for s in program.segments]
+    return program.gate_label, program.n, program.total_time.hex(), segments
+
+
+def without_maps(monkeypatch, build):
+    """``build()`` with the maps bypassed: every program, ideal target and
+    diagonal is built afresh on each call, as before the maps existed."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gates_module, "_program_segments", lambda make, *key: tuple(make(*key)))
+        patch.setattr(gates_module, "ideal_component", ideal_component.__wrapped__)
+        patch.setattr(gates_module, "_diagonal_of", gates_module._diagonal_of.__wrapped__)
+        return build()
+
+
+class TestProcessMaps:
+    """Each pulse program and ideal target is built once per process and
+    key; the pulse is still replayed on every build."""
+
+    @pytest.mark.parametrize("cfg", MAP_CONFIGS.values(), ids=MAP_CONFIGS)
+    @pytest.mark.parametrize("name", [*GATE_REGISTRY, *COMPONENT_NAMES])
+    def test_a_mapped_build_equals_a_fresh_one(self, monkeypatch, name, cfg):
+        for other in MAP_CONFIGS.values():
+            build_gate(name, other)
+        schedule = build_gate(name, cfg).schedule
+        programs = [exact(p) for p in programs_of(name, schedule)]
+        assert programs == without_maps(
+            monkeypatch, lambda: [exact(p) for p in programs_of(name, schedule)]
+        )
+        build = build_gate(name, cfg)
+        fresh = without_maps(monkeypatch, lambda: build_gate(name, cfg))
+        assert np.array_equal(build.pulse, fresh.pulse)
+        assert np.array_equal(build.ideal, fresh.ideal)
+        assert build.total_time == fresh.total_time
+
+    @pytest.mark.parametrize("name", [*GATE_REGISTRY, *COMPONENT_NAMES])
+    def test_every_config_shares_one_entry_and_binds_its_own_durations(self, name):
+        natural, si, other = (
+            programs_of(name, build_gate(name, cfg).schedule) for cfg in MAP_CONFIGS.values()
+        )
+        for a, b, c in zip(natural, si, other):
+            assert a.segments is b.segments is c.segments
+            assert a.total_time != b.total_time
+
+    def test_shared_constants_ccnot_is_built_from_its_own_witnesses(self, monkeypatch):
+        build_gate("ccnot", CFG)
+        cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5)
+        schedule = gate_timing_table("ccnot", cfg, mode="shared-constants")
+        programs = [exact(p) for p in programs_of("ccnot", schedule)]
+        assert programs == without_maps(
+            monkeypatch, lambda: [exact(p) for p in programs_of("ccnot", schedule)]
+        )
+
+    def test_a_window_with_other_angles_gets_its_own_entry(self, monkeypatch, ccnot_schedule):
+        spec = GateSpec("cx_half", 2, 3, 3)
+        derived = exact(component_program(spec, ccnot_schedule))
+        sol = ccnot_schedule.solutions["t1"]
+        witnesses = tuple(
+            TimingWitness(replace(w.constraint, residue_over_pi=Fraction(1, 8)), w.k)
+            if w.constraint.kind is ConstraintKind.EXCHANGE else w
+            for w in sol.witnesses
+        )
+        solutions = {**ccnot_schedule.solutions, "t1": replace(sol, witnesses=witnesses)}
+        schedule = replace(ccnot_schedule, solutions=solutions)
+        program = exact(component_program(spec, schedule))
+        assert program != derived
+        assert program == without_maps(monkeypatch, lambda: exact(component_program(spec, schedule)))
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = (
+            ideal_component(GateSpec("cx_quarter", 1, 4, 4)),
+            build_gate("cnot", CFG).ideal,
+            gates_module._diagonal_of(((1, 2), ("z", "z")), 2),
+        )
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, ...] = 0

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -491,6 +492,51 @@ class TestWindowsBindTableWitnesses:
             sched = gate_timing_table(gate, cfg)
             for spec in dict.fromkeys(gates.CIRCUITS.get(gate, ())):
                 gates.component_program(spec, sched)
+
+    def test_a_second_config_does_no_fraction_comparison(self, monkeypatch):
+        # A bound copy keeps its table constraint's validated level and
+        # residue, so binding checks only the new float coefficient.
+        for gate in timing.GATE_TABLES:
+            gate_timing_table(gate, PhysicalConfig.natural_units())
+
+        def forbidden(*args):
+            raise AssertionError("Fraction comparison after the warm-up")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, forbidden)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2) <= 0
+        with pytest.raises(AssertionError):
+            -2 < Fraction(1, 2)
+        configs = (
+            PhysicalConfig(b0=0.37, omega=GAMMA_ELECTRON * 0.37),
+            PhysicalConfig.natural_units(j_coupling=0.3, b_prime=0.2),
+        )
+        for gate in timing.GATE_TABLES:
+            for cfg in configs:
+                assert gate_timing_table(gate, cfg).cfg == cfg
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"level": 0}, "level must be positive, got 0"),
+            ({"residue": "2"}, "residue 2*pi outside (-2*pi, 2*pi)"),
+            ({"min_witness": -1}, "min_witness must be >= 0, got -1"),
+            ({"coefficient": -1.0}, "coefficient must be >= 0, got -1.0"),
+        ],
+    )
+    def test_a_bad_constraint_built_directly_is_named(self, fields, message):
+        args = {"kind": ConstraintKind.ZEEMAN, "level": 1, "residue": "1/2", **fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            constraint(**args)
+
+    def test_a_bound_copy_still_rejects_a_negative_coefficient(self):
+        table_constraint = timing.GATE_TABLES["cz"].windows[0][1][0]
+        with pytest.raises(ValueError, match=r"^coefficient must be >= 0, got -1.0$"):
+            table_constraint.with_coefficient(-1.0)
+        bound = table_constraint.with_coefficient(2.5)
+        assert bound == replace(table_constraint, coefficient=2.5)
+        assert table_constraint.coefficient is None
 
 
 class TestScheduleExport:
