@@ -287,8 +287,9 @@ def cmd_verify(args) -> CommandResult:
         try:
             parse_gate_name(scope)
         except ValueError as exc:
-            message = f"unknown scope {args.scope!r}; expected 'all' or a gate name ({exc})"
-            return CommandResult("error", {"message": message}, message)
+            raise ValueError(
+                f"unknown scope {args.scope!r}; expected 'all' or a gate name ({exc})"
+            ) from None
     checks: list[dict] = []
     payload: dict = {"scope": scope}
     pulses = None

@@ -272,27 +272,10 @@ def _pulse_angle(schedule: GateSchedule, label: str) -> float:
     return _window_angle(schedule.solutions[label], ConstraintKind.ZEEMAN, 2)
 
 
-def _y_conjugated(
-    target: int, a_y: float, label_y: str, inner: list[PulseSegment]
-) -> tuple[PulseSegment, ...]:
-    """The target-qubit y pulse, the inner segments, then the inverse y pulse."""
-    return (
-        PulseSegment((target,), ("y",), a_y, label_y),
-        *inner,
-        PulseSegment((target,), ("y",), -a_y, label_y),
-    )
-
-
 def _adjoint_segments(segments: tuple[PulseSegment, ...]) -> tuple[PulseSegment, ...]:
     return tuple(
         PulseSegment(s.sites, s.axes, -s.angle, s.duration_label)
         for s in reversed(segments)
-    )
-
-
-def _adjoint_program(program: PulseProgram, label: str) -> PulseProgram:
-    return PulseProgram(
-        label, program.n, _adjoint_segments(program.segments), program.total_time
     )
 
 
@@ -312,17 +295,23 @@ def component_program(spec: GateSpec, schedule: GateSchedule) -> PulseProgram:
             f"needs {COMPONENT_PARENT_GATE[spec.n]!r}"
         )
     labels, total_label = COMPONENT_TABLE[key]
-    if spec.base_kind == "cnot":
-        label_phi, label_y = labels
-        label_d = label_y
-    else:
-        label_phi, label_y, label_d = labels
+    segments = _conjugated_window(spec, schedule, labels)
+    return PulseProgram(spec.label, spec.n, segments, schedule.totals[total_label])
+
+
+def _conjugated_window(
+    spec: GateSpec, schedule: GateSchedule, labels: tuple[str, ...]
+) -> tuple[PulseSegment, ...]:
+    """A component's segments at the schedule's angles, from its windows as
+    ``COMPONENT_TABLE`` lists them: the phase window, the y pulse and the
+    correction pulses, which a cnot times by its y pulse's window."""
+    label_phi, label_y = labels[:2]
+    label_d = label_y if spec.base_kind == "cnot" else labels[2]
     correction = (label_d, _pulse_angle(schedule, label_d))
     window = schedule.solutions[label_phi]
     phase = (window.label, _phase_angles(window))
     y_pulse = (label_y, _pulse_angle(schedule, label_y))
-    segments = _program_segments(_component_segments, spec, correction, phase, y_pulse)
-    return PulseProgram(spec.label, spec.n, segments, schedule.totals[total_label])
+    return _program_segments(_component_segments, spec, correction, phase, y_pulse)
 
 
 def _component_segments(
@@ -343,7 +332,11 @@ def _component_segments(
     for i, j in spectator_pairs:
         inner.append(PulseSegment((i, j), ("z", "z"), a_d, label_d))
     inner.extend(_window_segments(spec.n, *phase))
-    segments = _y_conjugated(t, a_y, label_y, inner)
+    segments = (
+        PulseSegment((t,), ("y",), a_y, label_y),
+        *inner,
+        PulseSegment((t,), ("y",), -a_y, label_y),
+    )
     return _adjoint_segments(segments) if spec.is_adjoint else segments
 
 
@@ -384,17 +377,11 @@ def cz_program(schedule: GateSchedule) -> PulseProgram:
 
 
 def cnot_program(schedule: GateSchedule) -> PulseProgram:
-    """The cz window between the target-qubit y pulse of t2 and its inverse."""
-    a_y = _pulse_angle(schedule, "t2")
-    window = schedule.solutions["t1"]
-    segments = _program_segments(_cnot_segments, a_y, window.label, _phase_angles(window))
+    """The cz window between the target-qubit y pulse of t2 and its inverse:
+    the circuits' cnot component on a register with no spectator qubits,
+    so with no correction pulses."""
+    segments = _conjugated_window(GATE_REGISTRY["cnot"][2], schedule, ("t1", "t2"))
     return PulseProgram("cnot/2q", 2, segments, schedule.totals["T"])
-
-
-def _cnot_segments(
-    a_y: float, label: str, angles: tuple[float, float, float, float]
-) -> tuple[PulseSegment, ...]:
-    return _y_conjugated(2, a_y, "t2", _window_segments(2, label, angles))
 
 
 def hadamard_program(schedule: GateSchedule) -> PulseProgram:
@@ -452,12 +439,10 @@ def sequence_pulse(
     return u
 
 
-ProgramBuilder = Callable[[GateSchedule], PulseProgram]
-
 # Whole gate name -> (timing table, pulse program builder, ideal target).
 # The pulse of a circuit is the product of its component pulses
 # (``sequence_pulse``); its builder gives the same gate as one program.
-GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
+GATE_REGISTRY: dict[str, tuple[str, Callable[[GateSchedule], PulseProgram], GateSpec]] = {
     "not": ("not", not_program, GateSpec("not", n=1)),
     "cz": ("cz", cz_program, GateSpec("cz", 1, 2, 2)),
     "cnot": ("cnot", cnot_program, GateSpec("cnot", 1, 2, 2)),
@@ -470,20 +455,12 @@ GATE_REGISTRY: dict[str, tuple[str, ProgramBuilder, GateSpec]] = {
 }
 
 
-def _registered_build(name: str, timings: GateSchedule) -> tuple[np.ndarray, float]:
-    """Pulse matrix and duration of a whole gate; a circuit replays each
-    distinct component once and lasts its schedule's total T."""
-    if name in CIRCUITS:
-        pulse = sequence_pulse(CIRCUITS[name], component_pulses(timings))
-        return pulse, timings.totals["T"]
-    _, build_program, _ = GATE_REGISTRY[name]
-    program = build_program(timings)
-    return program_matrix(program), program.total_time
-
-
-def _registered_pulse(name: str, timings: GateSchedule | None) -> np.ndarray:
-    """Pulse matrix of a whole gate, from ``timings`` or, when none is given,
-    from its table's natural-units derive-constants schedule.
+def _registered_build(
+    name: str, timings: GateSchedule | None = None
+) -> tuple[np.ndarray, float]:
+    """Pulse matrix and duration of a whole gate, from ``timings`` or, when
+    none is given, from its table's natural-units derive-constants schedule.
+    A circuit replays each distinct component once and lasts its total T.
 
     The default is exact for every config: a derive-constants pulse takes
     each angle from the table's witnesses, so it depends on the gate table
@@ -491,47 +468,51 @@ def _registered_pulse(name: str, timings: GateSchedule | None) -> np.ndarray:
     """
     if timings is None:
         timings = gate_timing_table(GATE_REGISTRY[name][0], PhysicalConfig.natural_units())
-    return _registered_build(name, timings)[0]
+    if name in CIRCUITS:
+        pulse = sequence_pulse(CIRCUITS[name], component_pulses(timings))
+        return pulse, timings.totals["T"]
+    program = GATE_REGISTRY[name][1](timings)
+    return program_matrix(program), program.total_time
 
 
 def not_gate_1q(timings: GateSchedule | None = None) -> np.ndarray:
     """Composed single-qubit NOT; equals X up to the global phase -i.
 
     Without ``timings``: natural units, exact for any config (see
-    ``_registered_pulse``)."""
-    return _registered_pulse("not", timings)
+    ``_registered_build``)."""
+    return _registered_build("not", timings)[0]
 
 
 def controlled_z_2q(timings: GateSchedule | None = None) -> np.ndarray:
     """Two-qubit controlled-Z from the evolution operator alone.
 
     Without ``timings``: natural units, exact for any config (see
-    ``_registered_pulse``)."""
-    return _registered_pulse("cz", timings)
+    ``_registered_build``)."""
+    return _registered_build("cz", timings)[0]
 
 
 def cnot_2q(timings: GateSchedule | None = None) -> np.ndarray:
     """Controlled-Z conjugated by the target-qubit y rotation.
 
     Without ``timings``: natural units, exact for any config (see
-    ``_registered_pulse``)."""
-    return _registered_pulse("cnot", timings)
+    ``_registered_build``)."""
+    return _registered_build("cnot", timings)[0]
 
 
 def compose_ccnot(timings: GateSchedule | None = None) -> np.ndarray:
     """Five-component doubly-controlled NOT on three qubits.
 
     Without ``timings``: natural units, exact for any config (see
-    ``_registered_pulse``)."""
-    return _registered_pulse("ccnot", timings)
+    ``_registered_build``)."""
+    return _registered_build("ccnot", timings)[0]
 
 
 def compose_cccnot(timings: GateSchedule | None = None) -> np.ndarray:
     """Thirteen-component triply-controlled NOT on four qubits.
 
     Without ``timings``: natural units, exact for any config (see
-    ``_registered_pulse``)."""
-    return _registered_pulse("cccnot", timings)
+    ``_registered_build``)."""
+    return _registered_build("cccnot", timings)[0]
 
 
 def ideal_sequence_product(sequence) -> np.ndarray:

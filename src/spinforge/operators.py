@@ -6,7 +6,6 @@ integer-angle gate formulas double angles explicitly instead.
 """
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 import numpy as np
@@ -92,14 +91,9 @@ def z_diagonal(sites: Iterable[int], n: int) -> np.ndarray:
     """
     sites = tuple(sites)
     _check_sites(sites, n)
-    return _z_diagonal(frozenset(sites), n)
-
-
-@functools.cache
-def _z_diagonal(sites: frozenset[int], n: int) -> np.ndarray:
     index = np.arange(2**n)
     parity = np.zeros(2**n, dtype=np.int64)
-    for site in sites:
+    for site in set(sites):
         parity ^= (index >> (n - site)) & 1
     diagonal = 1.0 - 2.0 * parity
     diagonal.flags.writeable = False

@@ -229,7 +229,7 @@ class TestVerify:
     def test_unknown_scope_errors(self, capsys):
         code, out = run_cli(capsys, "verify", "everything", "--natural-units")
         assert code == 3
-        assert out.startswith("unknown scope 'everything'; expected 'all' or a gate name (")
+        assert out.startswith("error: unknown scope 'everything'; expected 'all' or a gate name (")
         assert "or a component like 'cx_half:2,3'" in out
 
     @pytest.mark.parametrize("scope", ["not", "cnot"])

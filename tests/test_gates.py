@@ -20,7 +20,7 @@ from spinforge.gates import (
     CIRCUITS,
     GATE_REGISTRY,
     GateSpec,
-    _adjoint_program,
+    _adjoint_segments,
     _sigma_angle,
     audit_components,
     build_gate,
@@ -653,6 +653,11 @@ def dense_segments(draw, n):
     return PulseSegment(sites, axes, draw(angles))
 
 
+def adjoint_program(program, label):
+    """The program's adjoint: its segments reversed, with negated angles."""
+    return PulseProgram(label, program.n, _adjoint_segments(program.segments), program.total_time)
+
+
 @st.composite
 def pulse_programs(draw):
     """Random programs mixing runs of diagonal segments and dense segments."""
@@ -665,7 +670,7 @@ def pulse_programs(draw):
             segments.append(draw(dense_segments(n)))
     program = PulseProgram("random", n, tuple(segments), 1.0)
     if draw(st.booleans()):
-        program = _adjoint_program(program, "random_dag")
+        program = adjoint_program(program, "random_dag")
     return program
 
 
@@ -688,7 +693,7 @@ class TestProgramMatrixReference:
     @given(program=pulse_programs())
     @settings(max_examples=50, deadline=None)
     def test_adjoint_program_is_dagger(self, program):
-        adjoint = _adjoint_program(program, "dag")
+        adjoint = adjoint_program(program, "dag")
         assert np.max(np.abs(program_matrix(adjoint) - dagger(program_matrix(program)))) <= 1e-12
 
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from spinforge import oracle
 from spinforge.config import PhysicalConfig
 from spinforge.gates import u_phi
 from spinforge.hamiltonians import lab_hamiltonian
+from spinforge.operators import spin
 from spinforge.oracle import (
     NORM_DRIFT_LIMIT,
     IntegrationError,
@@ -170,6 +171,18 @@ class TestAnalyticRotating:
         assert np.allclose(shifted, np.exp(-1j * 0.1 * t) * plain, atol=1e-15)
 
 
+def m_constancy_per_sample(cfg, times):
+    """Reference for ``check_m_constancy``: one 2x2 matrix product per time."""
+    sx, sy, sz = spin("x"), spin("y"), spin("z")
+    worst = 0.0
+    for t in times:
+        wt = cfg.omega * t
+        frame = np.diag(np.exp(-1j * wt * np.diag(sz)))
+        m = frame @ (math.cos(wt) * sx - math.sin(wt) * sy) @ frame.conj().T
+        worst = max(worst, float(np.max(np.abs(m - sx))))
+    return worst
+
+
 class TestMConstancy:
     def test_zero_time_is_exact(self):
         assert check_m_constancy(CFG_DRIVEN, [0.0]) == 0.0
@@ -184,8 +197,26 @@ class TestMConstancy:
         assert check_m_constancy(cfg, [0.0, 1.0, 5.0]) <= 1e-15
 
     def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need at least one sample time$"):
             check_m_constancy(CFG_DRIVEN, [])
+
+    @pytest.mark.parametrize(
+        "times, bad",
+        [([0.0, math.nan, math.inf], "nan"), ([1.0, 2.0, -math.inf, math.nan], "-inf")],
+    )
+    def test_first_non_finite_time_is_named(self, times, bad):
+        with pytest.raises(ValueError, match=rf"^sample_times must be finite, got {bad}$"):
+            check_m_constancy(CFG_DRIVEN, times)
+
+    @given(
+        omega=st.floats(0.0, 10.0),
+        times=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_sample_loop(self, omega, times):
+        cfg = PhysicalConfig(gamma=1.0, b0=omega, b1=0.0, omega=omega)
+        got = check_m_constancy(cfg, times)
+        assert abs(got - m_constancy_per_sample(cfg, times)) <= 1e-15
 
 
 class TestCrossValidation:
