@@ -43,8 +43,6 @@ from .timing import (
     parse_gate_name,
 )
 
-DRIVE_ELIMINATION_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Ideal layer
@@ -205,9 +203,21 @@ def program_matrix(program: PulseProgram) -> np.ndarray:
 
 
 def _phase_angles(
-    timing: TimingSolution, cfg: PhysicalConfig | None = None
+    timing: TimingSolution, n: int, cfg: PhysicalConfig | None = None
 ) -> tuple[float, float, float, float]:
-    """The (z, x, zz, offset) sigma-level angles of a phase window."""
+    """The (z, x, zz, offset) sigma-level angles of a phase window on n spins.
+
+    On n >= 2 spins the drive, which does not commute with the exchange, must
+    be off: its exact phase (``cfg.b1`` without a witness) is 0, whatever the
+    reduced angle, which is 0 too for a drive that turns through 4 pi.
+    """
+    drive = timing.knob_phase_over_pi(ConstraintKind.DRIVE)
+    drive_on = cfg is not None and cfg.b1 != 0 if drive is None else drive != 0
+    if n >= 2 and drive_on:
+        raise ValueError(
+            f"window {timing.label} leaves the drive on across {n} coupled "
+            "spins; the drive does not commute with the exchange"
+        )
     return (
         _window_angle(timing, ConstraintKind.ZEEMAN, 2, cfg),
         _window_angle(timing, ConstraintKind.DRIVE, 2, cfg),
@@ -236,18 +246,13 @@ def u_phi(n: int, timing: TimingSolution, cfg: PhysicalConfig) -> np.ndarray:
 
     The operator is the product of per-site z factors, per-site drive (x)
     factors, Ising pair factors and the reference-offset phase, each
-    evaluated at the exact residue the timing solution pins down. With the
-    drive factor eliminated the result is diagonal.
+    evaluated at the exact residue the timing solution pins down. On n >= 2
+    spins ``_phase_angles`` requires the drive off, so the result is diagonal.
     """
     check_system_size(n)
     if not cfg.at_resonance:
         raise ValueError("u_phi requires the resonance condition omega = gamma*b0")
-    angles = _phase_angles(timing, cfg)
-    a_x = angles[1]
-    if n >= 3 and abs(_float_angle(2 * a_x)) > DRIVE_ELIMINATION_TOL:
-        raise ValueError(
-            f"drive factor is not eliminated: gamma*B1*t = {2 * a_x!r} mod 2*pi"
-        )
+    angles = _phase_angles(timing, n, cfg)
     segments = tuple(_window_segments(n, timing.label, angles))
     return program_matrix(PulseProgram(f"u_phi/{n}q", n, segments, timing.duration))
 
@@ -309,7 +314,7 @@ def _conjugated_window(
     label_d = label_y if spec.base_kind == "cnot" else labels[2]
     correction = (label_d, _pulse_angle(schedule, label_d))
     window = schedule.solutions[label_phi]
-    phase = (window.label, _phase_angles(window))
+    phase = (window.label, _phase_angles(window, spec.n))
     y_pulse = (label_y, _pulse_angle(schedule, label_y))
     return _program_segments(_component_segments, spec, correction, phase, y_pulse)
 
@@ -372,7 +377,7 @@ def _not_segments(a_z: float, a_x: float, a_pulse: float) -> tuple[PulseSegment,
 def cz_program(schedule: GateSchedule) -> PulseProgram:
     """Two-qubit controlled-Z: the evolution operator of the t1 window alone."""
     window = schedule.solutions["t1"]
-    segments = _program_segments(_window_segments, 2, window.label, _phase_angles(window))
+    segments = _program_segments(_window_segments, 2, window.label, _phase_angles(window, 2))
     return PulseProgram("cz/2q", 2, segments, schedule.totals["T"])
 
 

@@ -4,7 +4,7 @@ The lab Hamiltonian is the physical one: Zeeman term, circularly polarized
 drive, and equal Ising exchange between every pair. The rotating-frame
 Hamiltonian is time-independent; because the drive is exactly circularly
 polarized this is a frame change, not an approximation. The reference
-offset B' is bookkeeping only and never enters the lab Hamiltonian.
+offset B' is bookkeeping only and enters neither Hamiltonian.
 """
 from __future__ import annotations
 
@@ -32,19 +32,14 @@ def lab_hamiltonian(cfg: PhysicalConfig, n: int, t: float) -> np.ndarray:
     return h
 
 
-def rotating_hamiltonian(
-    cfg: PhysicalConfig, n: int, with_offset: bool = False
-) -> np.ndarray:
+def rotating_hamiltonian(cfg: PhysicalConfig, n: int) -> np.ndarray:
     """Time-independent Hamiltonian in the frame rotating at omega.
 
-    -gamma [(B0 - omega/gamma) sum(S_z) + B1 sum(S_x)] + J sum(S_z S_z),
-    optionally shifted by the constant B' I. At resonance the detuning
-    term vanishes identically.
+    -gamma [(B0 - omega/gamma) sum(S_z) + B1 sum(S_x)] + J sum(S_z S_z).
+    At resonance the detuning term vanishes identically.
     """
     detuning_field = cfg.b0 - cfg.omega / cfg.gamma
     h = -cfg.gamma * (detuning_field * total_spin("z", n) + cfg.b1 * total_spin("x", n))
     if n >= 2:
         h = h + cfg.j_coupling * exchange_sum(n)
-    if with_offset:
-        h = h + cfg.b_prime * np.eye(2**n, dtype=complex)
     return h

@@ -322,7 +322,7 @@ def analytic_rotating(
     psi = require_normalized(psi0).astype(complex)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    h_r = rotating_hamiltonian(cfg, n, with_offset=False)
+    h_r = rotating_hamiltonian(cfg, n)
     evals, evecs = np.linalg.eigh(h_r)
     inner = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     sz_diag = np.diag(total_spin("z", n)).real

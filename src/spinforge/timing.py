@@ -1,4 +1,4 @@
-"""Pulse-timing congruences: solving, inversion, and per-gate schedules.
+"""Pulse-timing congruences: solving and derivation, and per-gate schedules.
 
 Each gate needs durations t such that several angular phases (drive
 frequency, exchange strength, reference offset, drive amplitude) land on
@@ -314,61 +314,6 @@ def solve_timing(
     raise IncommensurateError(
         f"no simultaneous solution with witnesses <= {search_bound}{detail}"
     )
-
-
-def invert_for_constants(
-    duration: float,
-    constraints: list[TimingConstraint],
-    witnesses: list[int],
-    *,
-    gamma: float | None = None,
-) -> dict[str, float]:
-    """Given a duration and chosen witnesses, derive the exact knob values.
-
-    Returns config deltas keyed by 'omega', 'b1', 'j' or 'b_prime'. Two
-    constraints on the same knob must agree; a mismatch is infeasible.
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if len(constraints) != len(witnesses):
-        raise ValueError("need exactly one witness per constraint")
-    deltas: dict[str, float] = {}
-    for c, k in zip(constraints, witnesses):
-        witness = TimingWitness(c, k)  # rejects k < 0
-        if witness.phase_over_pi < 0:
-            raise ValueError(
-                f"witness {k} makes {c.description or c.kind.value} negative"
-            )
-        _invert_knob(deltas, witness, duration, gamma)
-    return deltas
-
-
-def _invert_knob(
-    deltas: dict[str, float],
-    witness: TimingWitness,
-    duration: float,
-    gamma: float | None,
-) -> None:
-    """Add the knob value that meets ``witness`` at ``duration`` to ``deltas``.
-
-    A drive knob is B1, so it is divided by gamma. A second constraint on
-    a knob already in ``deltas`` must agree with it.
-    """
-    c = witness.constraint
-    knob = witness.phase_float * math.pi / (witness.level_float * duration)
-    if c.kind is ConstraintKind.DRIVE:
-        if gamma is None:
-            raise ValueError("gamma is required to invert a drive constraint")
-        knob /= gamma
-    key = c.kind.config_key
-    if key in deltas:
-        scale = max(abs(deltas[key]), abs(knob), 1e-300)
-        if abs(deltas[key] - knob) > 1e-9 * scale:
-            raise ScheduleInfeasibleError(
-                f"conflicting values for {key}: "
-                f"{deltas[key]!r} vs {knob!r} ({c.description})"
-            )
-    deltas[key] = knob
 
 
 # ---------------------------------------------------------------------------
@@ -789,22 +734,21 @@ def _derive_window(
 ) -> tuple[TimingSolution, dict[str, float]]:
     """Bind a window's table witnesses (clock first) to a config, in floats only.
 
-    The clock fixes the duration; every other knob is derived so that its
-    constraint meets its witness at that duration.
+    The clock fixes the duration t; every other knob is phase * pi / (level * t),
+    per unit of its config value: gamma for the drive (B1), else an exact 1.0.
     """
     clock, others = witnesses[0], witnesses[1:]
     coefficient = clock.level_float * clock.constraint.kind.knob_value(cfg)
     duration = clock.phase_float * math.pi / coefficient
 
     deltas: dict[str, float] = {}
-    for w in others:
-        _invert_knob(deltas, w, duration, cfg.gamma)
     bound = [clock.with_coefficient(coefficient)]
     for w in others:
-        knob = deltas[w.constraint.kind.config_key]
-        if w.constraint.kind is ConstraintKind.DRIVE:
-            knob *= cfg.gamma
-        bound.append(w.with_coefficient(w.level_float * knob))
+        kind = w.constraint.kind
+        per_unit = cfg.gamma if kind is ConstraintKind.DRIVE else 1.0
+        value = w.phase_float * math.pi / (w.level_float * duration) / per_unit
+        deltas[kind.config_key] = value
+        bound.append(w.with_coefficient(w.level_float * (per_unit * value)))
 
     solution = TimingSolution(
         label=label,
@@ -827,7 +771,8 @@ def gate_timing_table(
     the remaining knobs (J, B', B1) are tuned to their congruences per
     window. In shared-constants mode every knob comes from ``cfg`` and the
     simultaneous system is solved outright; infeasibility is reported with
-    the violated congruence named.
+    the violated congruence named; a coupled window with b1 > 0 is infeasible
+    there, as the drive does not commute with the exchange.
 
     Component names like ``cx_half:2,3`` resolve to the parent circuit's
     table, which contains the component's windows and aggregate totals.
@@ -842,6 +787,8 @@ def gate_timing_table(
         raise ValueError("schedules need a positive drive frequency omega")
     if not cfg.at_resonance:
         raise ValueError("schedules are defined at resonance (omega = gamma*b0)")
+    if search_bound < 1:
+        raise ValueError(f"search_bound must be >= 1, got {search_bound}")
 
     table = GATE_TABLES[name]
     solutions: dict[str, TimingSolution] = {}
@@ -859,6 +806,12 @@ def gate_timing_table(
             if deltas:
                 derived[label] = deltas
         else:
+            if cfg.b1 > 0 and any(c.kind is ConstraintKind.EXCHANGE for c in constraints):
+                raise ScheduleInfeasibleError(
+                    f"{name} window {label} is infeasible with the shared constants: "
+                    f"b1 = {cfg.b1!r} drives the coupled spins, and the drive does "
+                    "not commute with the exchange"
+                )
             bound = [c.bound(cfg) for c in constraints]
             try:
                 solutions[label] = solve_timing(

@@ -129,3 +129,11 @@ def test_gate_table_totals():
     assert tuple(GATE_TABLES) == tuple(TOTALS)
     for gate, totals in TOTALS.items():
         assert GATE_TABLES[gate].totals == totals, gate
+
+
+def test_no_window_constrains_a_knob_twice():
+    # Deriving a window's constants stores one value per knob.
+    for gate, table in GATE_TABLES.items():
+        for label, constraints in table.windows:
+            kinds = [c.kind for c in constraints]
+            assert len(set(kinds)) == len(kinds), (gate, label)

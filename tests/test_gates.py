@@ -156,6 +156,44 @@ class TestUPhi:
         exact = u_phi(2, full, cz_schedule.window_config("t1"))
         assert np.max(np.abs(got - exact)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_drive_left_on_in_a_coupled_window_is_refused(self, ccnot_schedule, k):
+        # ccnot's drive level is 1/2, so witness 1 reduces to sigma angle 0
+        # yet turns the drive through 4*pi; the exact phase is what counts.
+        sol = ccnot_schedule.solutions["t1"]
+        witnesses = tuple(
+            TimingWitness(w.constraint, k) if w.constraint.kind is ConstraintKind.DRIVE else w
+            for w in sol.witnesses
+        )
+        driven = replace(sol, witnesses=witnesses)
+        schedule = replace(ccnot_schedule, solutions={**ccnot_schedule.solutions, "t1": driven})
+        message = (
+            r"^window t1 leaves the drive on across 3 coupled spins; "
+            r"the drive does not commute with the exchange$"
+        )
+        with pytest.raises(ValueError, match=message):
+            u_phi(3, driven, ccnot_schedule.window_config("t1"))
+        with pytest.raises(ValueError, match=message):
+            component_program(GateSpec("cx_half", 2, 3, 3), schedule)
+
+    def test_without_a_drive_witness_the_config_b1_decides(self, cz_schedule):
+        full = cz_schedule.solutions["t1"]
+        no_drive = replace(
+            full,
+            witnesses=tuple(
+                w for w in full.witnesses if w.constraint.kind is not ConstraintKind.DRIVE
+            ),
+        )
+        window = cz_schedule.window_config("t1")
+        assert np.max(np.abs(u_phi(2, no_drive, window) - u_phi(2, full, window))) <= 1e-12
+        with pytest.raises(ValueError, match="^window t1 leaves the drive on across 2"):
+            u_phi(2, no_drive, window.replace(b1=0.05))
+
+    def test_a_single_spin_window_keeps_its_drive(self):
+        schedule = gate_timing_table("not", CFG)
+        got = u_phi(1, schedule.solutions["t1"], schedule.window_config("t1"))
+        assert abs(got[0, 1]) == pytest.approx(1.0, abs=1e-12)
+
     def test_unitary(self, cccnot_schedule):
         for label in ("t1", "t4"):
             got = u_phi(

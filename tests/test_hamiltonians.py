@@ -64,7 +64,7 @@ class TestLabHamiltonian:
 class TestRotatingHamiltonian:
     def test_resonant_two_qubit_keeps_only_ising(self):
         cfg = PhysicalConfig.natural_units(j_coupling=1.0)
-        h = rotating_hamiltonian(cfg, 2, with_offset=False)
+        h = rotating_hamiltonian(cfg, 2)
         assert np.allclose(h, np.diag([0.25, -0.25, -0.25, 0.25]))
 
     def test_detuned_single_qubit(self):
@@ -74,15 +74,16 @@ class TestRotatingHamiltonian:
         expected = -delta * spin("z") - cfg.gamma * cfg.b1 * spin("x")
         assert np.allclose(h, expected)
 
-    def test_four_qubit_offset_diagonal_by_pair_parity(self):
-        # Oracle: sum the six pair-term diagonals by brute force.
+    def test_four_qubit_exchange_diagonal_by_pair_parity(self):
+        # Oracle: sum the six pair-term diagonals by brute force. The
+        # reference offset B' is bookkeeping and stays out.
         cfg = PhysicalConfig.natural_units(j_coupling=1.0, b_prime=1.0)
-        h = rotating_hamiltonian(cfg, 4, with_offset=True)
-        expected = np.eye(16, dtype=complex)
+        h = rotating_hamiltonian(cfg, 4)
+        expected = np.zeros((16, 16), dtype=complex)
         for i, j in pair_sites(4):
             expected = expected + embed_pair_zz(i, j, 4)
         assert np.allclose(h, expected)
-        assert h[0, 0] == pytest.approx(6 * 0.25 + 1.0)
+        assert h[0, 0] == pytest.approx(6 * 0.25)
 
     def test_detuning_vanishes_at_resonance(self):
         cfg = PhysicalConfig.natural_units(b1=0.0, j_coupling=0.0)

@@ -23,8 +23,8 @@ from spinforge.timing import (
     IncommensurateError,
     ScheduleInfeasibleError,
     TimingConstraint,
+    RESIDUAL_TOL,
     gate_timing_table,
-    invert_for_constants,
     _rationalize,
     solve_timing,
 )
@@ -71,24 +71,17 @@ class TestSolveTiming:
         assert sol.witnesses[0].k == 1
 
     def test_worked_two_qubit_system(self):
-        # omega = 1: t1 = 5*pi/2 with witness 1, then J and B' follow.
-        zeeman = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
-        sol = solve_timing([zeeman])
-        t1 = sol.duration
-        assert t1 == pytest.approx(5 * PI / 2, abs=1e-12)
-        deltas = invert_for_constants(
-            t1,
-            [
-                constraint(ConstraintKind.EXCHANGE, 1, 1, min_witness=0),
-                constraint(ConstraintKind.OFFSET, 1, "1/4", min_witness=0),
-            ],
-            [0, 0],
-        )
-        assert deltas["j"] == pytest.approx(0.4, abs=1e-13)
-        assert deltas["b_prime"] == pytest.approx(0.1, abs=1e-13)
-        # Substituted back, the residuals vanish.
-        assert abs(deltas["j"] * t1 - PI) <= 1e-12
-        assert abs(deltas["b_prime"] * t1 - PI / 4) <= 1e-12
+        # omega = 1, J = 0.4, B' = 0.1: the clock's witness 1 gives
+        # t1 = 5*pi/2, where J*t = pi and B'*t = pi/4 meet at witness 0.
+        cs = [
+            constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0),
+            constraint(ConstraintKind.EXCHANGE, 1, 1, coefficient=0.4, min_witness=0),
+            constraint(ConstraintKind.OFFSET, 1, "1/4", coefficient=0.1, min_witness=0),
+        ]
+        sol = solve_timing(cs)
+        assert sol.duration == pytest.approx(5 * PI / 2, abs=1e-12)
+        assert [sol.witness_for(c.kind).k for c in cs] == [1, 0, 0]
+        assert sol.residual <= 1e-12
 
     def test_irrational_ratio_is_incommensurate(self):
         c1 = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
@@ -146,49 +139,35 @@ class TestSolveTiming:
         assert sol.duration == pytest.approx(9 * PI / 2, abs=1e-12)
 
 
-class TestInvertForConstants:
-    def test_single_qubit_drive_amplitude(self):
-        # Clock: gamma*B0*t/2 = 2n*pi + pi/2 with n = 1 fixes t1; the drive
-        # amplitude follows from its own congruence at m = 0.
-        gamma = 1.0
-        t1 = (2 * PI + PI / 2) * 2 / gamma
-        deltas = invert_for_constants(
-            t1,
-            [constraint(ConstraintKind.DRIVE, "1/2", "1/2", min_witness=0)],
-            [0],
-            gamma=gamma,
-        )
-        assert deltas["b1"] == pytest.approx((PI / 2) * 2 / (gamma * t1), abs=1e-13)
+DERIVE_CONFIGS = {
+    "natural": PhysicalConfig.natural_units(),
+    "si": PhysicalConfig(b0=0.37, omega=GAMMA_ELECTRON * 0.37),
+    "j-b-prime": PhysicalConfig.natural_units(j_coupling=0.3, b_prime=0.2),
+}
 
-    def test_exchange_inversion(self):
-        t = 3.0
-        deltas = invert_for_constants(
-            t,
-            [constraint(ConstraintKind.EXCHANGE, "1/4", "-1/16")],
-            [1],
-        )
-        assert deltas["j"] == pytest.approx(4 * (2 * PI - PI / 16) / t, abs=1e-12)
 
-    def test_conflicting_shared_knob_is_infeasible(self):
-        t = 2.0
-        cs = [
-            constraint(ConstraintKind.OFFSET, 1, "1/4", min_witness=0),
-            constraint(ConstraintKind.OFFSET, 1, "1/2", min_witness=0),
-        ]
-        with pytest.raises(ScheduleInfeasibleError, match="conflicting"):
-            invert_for_constants(t, cs, [0, 0])
+class TestDerivedConstants:
+    """Derive-constants mode: each derived knob meets its own congruence."""
 
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ValueError, match="duration"):
-            invert_for_constants(
-                0.0, [constraint(ConstraintKind.OFFSET, 1, "1/4")], [1]
-            )
+    @pytest.mark.parametrize("config", DERIVE_CONFIGS)
+    @pytest.mark.parametrize("gate", list(timing.GATE_TABLES))
+    def test_every_derived_knob_meets_its_constraint(self, gate, config):
+        sched = gate_timing_table(gate, DERIVE_CONFIGS[config])
+        for label, sol in sched.solutions.items():
+            window = sched.window_config(label)
+            for w in sol.witnesses:
+                c = w.constraint
+                phase = float(c.level) * c.kind.knob_value(window) * sol.duration
+                target = float(2 * w.k + c.residue_over_pi) * PI
+                assert abs(phase - target) <= RESIDUAL_TOL, (label, c.description)
 
-    def test_drive_needs_gamma(self):
-        with pytest.raises(ValueError, match="gamma"):
-            invert_for_constants(
-                1.0, [constraint(ConstraintKind.DRIVE, 1, "1/2")], [1]
-            )
+    @pytest.mark.parametrize("config", DERIVE_CONFIGS)
+    def test_not_drive_amplitude_is_a_half_turn(self, config):
+        # gamma*B1*t1/2 = pi/2 at witness 0, so B1 = pi / (gamma*t1).
+        cfg = DERIVE_CONFIGS[config]
+        sched = gate_timing_table("not", cfg)
+        t1 = sched.solutions["t1"].duration
+        assert sched.derived["t1"]["b1"] == pytest.approx(PI / (cfg.gamma * t1), rel=1e-15)
 
 
 class TestGateTables:
@@ -297,14 +276,44 @@ class TestGateTables:
             gate_timing_table("cz", cfg, mode="shared-constants")
 
     def test_shared_mode_with_active_drive(self):
-        # A physically nonzero drive amplitude can join the shared system:
-        # gamma*B1 = 4/9 meets its congruence at the same t1 = 9*pi/2.
+        # gamma*B1 = 4/9 would meet its congruence at t1 = 9*pi/2 with
+        # witness 1, but the drive does not commute with the exchange, so
+        # the factored window would be wrong by order one.
         cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5, b1=4 / 9)
-        sched = gate_timing_table("cz", cfg, mode="shared-constants")
+        with pytest.raises(
+            ScheduleInfeasibleError, match=r"^cz window t1 .*does not commute with the exchange$"
+        ):
+            gate_timing_table("cz", cfg, mode="shared-constants")
+
+    def test_shared_mode_keeps_the_drive_of_an_uncoupled_window(self):
+        # NOT's t1 has no exchange: gamma*B1 = omega/5 meets
+        # gamma*B1*t/2 = pi/2 where omega*t/2 = 2*pi + pi/2.
+        cfg = PhysicalConfig.natural_units(b1=0.2)
+        sched = gate_timing_table("not", cfg, mode="shared-constants")
         sol = sched.solutions["t1"]
-        assert sol.duration == pytest.approx(9 * PI / 2, abs=1e-12)
-        assert sol.witness_for(ConstraintKind.DRIVE).k == 1
-        assert sol.residual <= 1e-9
+        assert sol.duration == pytest.approx(5 * PI, abs=1e-12)
+        assert sol.witness_for(ConstraintKind.DRIVE).k == 0
+
+    def test_shared_mode_drive_on_exits_2(self):
+        argv = [
+            "schedule", "cz", "--mode", "shared-constants", "--natural-units",
+            "--j", "0.4", "--b-prime", "0.1", "--b1", "0.8",
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 2
+        assert "window t1" in out.getvalue()
+        assert "does not commute with the exchange" in out.getvalue()
+
+    @pytest.mark.parametrize("mode", ["derive-constants", "shared-constants"])
+    def test_search_bound_below_one_rejected_in_both_modes(self, cfg, mode):
+        with pytest.raises(ValueError, match=r"^search_bound must be >= 1, got 0$"):
+            gate_timing_table("cz", cfg, mode=mode, search_bound=0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["schedule", "cz", "--natural-units", "--mode", mode, "--search-bound", "0"])
+        assert code == 3
+        assert out.getvalue() == "error: search_bound must be >= 1, got 0\n"
 
     def test_component_names_resolve_to_parent_table(self, cfg):
         sched = gate_timing_table("cx_half:2,3", cfg)
@@ -393,11 +402,21 @@ def _fresh(c):
     )
 
 
+# The config key each derived knob is stored under.
+DERIVED_KEYS = {
+    ConstraintKind.DRIVE: "b1",
+    ConstraintKind.EXCHANGE: "j",
+    ConstraintKind.OFFSET: "b_prime",
+}
+
+
 def recomputed_window(constraints, cfg):
     """A derive-constants window worked out on fresh Fractions.
 
-    Returns the duration, the witnesses, the bound constraints, the
-    derived constants and the residual.
+    Each knob is inverted here from its exact phase: knob = phase * pi /
+    (level * t), with B1 = knob / gamma for the drive, in the library's
+    float operation order. Returns the duration, the witnesses, the bound
+    constraints, the derived constants and the residual.
     """
     fresh = [_fresh(c) for c in constraints]
     clock = next(c for c in fresh if c.kind is ConstraintKind.ZEEMAN)
@@ -411,21 +430,24 @@ def recomputed_window(constraints, cfg):
         return k
 
     ks = [least(c) for c in (clock, *others)]
+    phases = [2 * k + c.residue_over_pi for c, k in zip((clock, *others), ks)]
     coefficient = float(clock.level) * cfg.omega
-    duration = float(2 * ks[0] + clock.residue_over_pi) * PI / coefficient
-    deltas = invert_for_constants(duration, others, ks[1:], gamma=cfg.gamma)
+    duration = float(phases[0]) * PI / coefficient
+    deltas = {}
     coefficients = [coefficient]
-    for c in others:
-        knob = deltas[c.kind.config_key]
+    for c, phase in zip(others, phases[1:]):
+        key = DERIVED_KEYS[c.kind]
+        knob = float(phase) * PI / (float(c.level) * duration)
         if c.kind is ConstraintKind.DRIVE:
-            knob *= cfg.gamma
+            deltas[key] = knob / cfg.gamma
+            knob = deltas[key] * cfg.gamma
+        else:
+            deltas[key] = knob
         coefficients.append(float(c.level) * knob)
     bound = [replace(c, coefficient=x) for c, x in zip((clock, *others), coefficients)]
     residual = 0.0
-    for c, k in zip(bound, ks):
-        residual = max(
-            residual, abs(c.coefficient * duration - float(2 * k + c.residue_over_pi) * PI)
-        )
+    for c, phase in zip(bound, phases):
+        residual = max(residual, abs(c.coefficient * duration - float(phase) * PI))
     return duration, ks, bound, deltas, residual
 
 
