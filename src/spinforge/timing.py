@@ -3,8 +3,11 @@
 Each gate needs durations t such that several angular phases (drive
 frequency, exchange strength, reference offset, drive amplitude) land on
 prescribed residues modulo 2 pi simultaneously. Residue targets are exact
-rational multiples of pi and all congruence algebra happens on rationals;
-floats appear only in the final durations and coefficients.
+rational multiples of pi and all congruence algebra happens on rationals.
+A constraint is a table fact; its coefficient (level * knob) is computed
+from a config only where a number is needed: in the solver, for a
+residual and on export. Floats appear only in durations, derived knobs,
+coefficients and residuals.
 
 Each Toffoli circuit is stated once, as its components in time order
 (GateTable.circuit); its total T, the component table, the circuit
@@ -84,8 +87,8 @@ class TimingConstraint:
     ``level`` is the exact factor in front of the knob (e.g. 1/2 for the
     half-angle form, 1/4 for exchange quarters), ``residue_over_pi`` the
     exact target residue as a multiple of pi, and ``min_witness`` the
-    smallest admissible integer k. ``coefficient`` (rad/s) is level * knob
-    once bound to a config; unbound constraints leave it None.
+    smallest admissible integer k. A constraint is a table fact; its
+    coefficient (level * knob, rad/s) belongs to a config.
     """
 
     kind: ConstraintKind
@@ -93,7 +96,6 @@ class TimingConstraint:
     residue_over_pi: Fraction
     description: str = ""
     min_witness: int = 1
-    coefficient: float | None = None
 
     def __post_init__(self):
         if self.level <= 0:
@@ -104,26 +106,10 @@ class TimingConstraint:
             )
         if self.min_witness < 0:
             raise ValueError(f"min_witness must be >= 0, got {self.min_witness}")
-        _check_coefficient(self.coefficient)
 
-    def bound(self, cfg: PhysicalConfig) -> "TimingConstraint":
-        return self.with_coefficient(float(self.level) * self.kind.knob_value(cfg))
-
-    def with_coefficient(self, coefficient: float) -> "TimingConstraint":
-        """A copy bound to ``coefficient``.
-
-        The copy's level, residue and minimum witness are this constraint's
-        own, validated when it was built, so only the coefficient is checked.
-        """
-        _check_coefficient(coefficient)
-        copy = object.__new__(type(self))
-        vars(copy).update(vars(self), coefficient=coefficient)
-        return copy
-
-
-def _check_coefficient(coefficient: float | None) -> None:
-    if coefficient is not None and coefficient < 0:
-        raise ValueError(f"coefficient must be >= 0, got {coefficient}")
+    def coefficient_in(self, cfg: PhysicalConfig) -> float:
+        """level * knob (rad/s) under ``cfg``."""
+        return float(self.level) * self.kind.knob_value(cfg)
 
 
 @dataclass(frozen=True)
@@ -138,7 +124,7 @@ class TimingWitness:
             raise ValueError(f"witness must be >= 0, got {self.k}")
 
     # The exact phases and their float forms are worked out once per
-    # witness; ``with_coefficient`` hands them on to the bound copy.
+    # witness; a gate table's witnesses serve every config.
 
     @functools.cached_property
     def phase_over_pi(self) -> Fraction:
@@ -160,21 +146,6 @@ class TimingWitness:
         """float(constraint.level)."""
         return float(self.constraint.level)
 
-    def with_coefficient(self, coefficient: float) -> "TimingWitness":
-        """This witness on a copy of its constraint bound to ``coefficient``.
-
-        The copy shares this witness's exact phases, so binding does no
-        Fraction arithmetic.
-        """
-        copy = TimingWitness(self.constraint.with_coefficient(coefficient), self.k)
-        vars(copy).update(
-            phase_over_pi=self.phase_over_pi,
-            knob_phase_over_pi=self.knob_phase_over_pi,
-            phase_float=self.phase_float,
-            level_float=self.level_float,
-        )
-        return copy
-
 
 @dataclass(frozen=True)
 class TimingSolution:
@@ -186,9 +157,9 @@ class TimingSolution:
     residual: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.residual > RESIDUAL_TOL:
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration {self.duration!r} s is not positive and finite")
+        if not self.residual <= RESIDUAL_TOL:
             raise ValueError(
                 f"residual {self.residual:.3e} exceeds {RESIDUAL_TOL:.0e} rad"
             )
@@ -213,46 +184,40 @@ def _rationalize(x: float) -> Fraction | None:
     return None
 
 
-def _max_residual(
-    duration: float, witnesses: Iterable[TimingWitness]
-) -> float:
+def _max_residual(duration: float, terms: Iterable[tuple[float, float]]) -> float:
+    """The largest |coefficient * duration - phase * pi| over (coefficient, phase) terms."""
     worst = 0.0
-    for w in witnesses:
-        coeff = w.constraint.coefficient
-        if coeff is None:
-            continue
-        target = w.phase_float * math.pi
-        worst = max(worst, abs(coeff * duration - target))
+    for coefficient, phase in terms:
+        worst = max(worst, abs(coefficient * duration - phase * math.pi))
     return worst
 
 
 def solve_timing(
     constraints: list[TimingConstraint],
+    cfg: PhysicalConfig,
     search_bound: int = DEFAULT_SEARCH_BOUND,
     *,
     label: str = "t",
 ) -> TimingSolution:
     """Find the smallest duration meeting every congruence simultaneously.
 
-    All constraints must be bound (numeric coefficients). The system is
-    solved exactly when all coefficient ratios are rational: the witness
-    of the smallest-coefficient constraint is enumerated upward and the
-    other witnesses are derived on exact fractions, so the first hit is
-    minimal. Irrational ratios, or exhaustion of the witness bound, raise
+    Each constraint's coefficient is its level times its knob in ``cfg``.
+    The system is solved exactly when all coefficient ratios are rational:
+    the witness of the smallest-coefficient constraint is enumerated upward
+    and the other witnesses are derived on exact fractions, so the first hit
+    is minimal. Irrational ratios, or exhaustion of the witness bound, raise
     IncommensurateError.
     """
     if not constraints:
         raise EmptyConstraintsError("at least one timing constraint is required")
     if search_bound < 1:
         raise ValueError(f"search_bound must be >= 1, got {search_bound}")
-    for c in constraints:
-        if c.coefficient is None:
-            raise ValueError(f"constraint {c.description or c.kind} is not bound")
 
     trivial: list[TimingWitness] = []
-    active: list[TimingConstraint] = []
+    active: list[tuple[TimingConstraint, float]] = []
     for c in constraints:
-        if c.coefficient == 0.0:
+        coefficient = c.coefficient_in(cfg)
+        if coefficient == 0.0:
             if c.residue_over_pi != 0:
                 raise IncommensurateError(
                     f"zero coefficient cannot reach residue "
@@ -260,20 +225,20 @@ def solve_timing(
                 )
             trivial.append(TimingWitness(c, 0))
         else:
-            active.append(c)
+            active.append((c, coefficient))
     if not active:
         raise IncommensurateError(
             "all coefficients are zero; no duration is determined"
         )
 
-    ref = min(active, key=lambda c: c.coefficient)
-    others = [c for c in active if c is not ref]
+    ref, ref_coeff = min(active, key=lambda pair: pair[1])
+    others = [(c, coeff) for c, coeff in active if c is not ref]
     ratios: list[Fraction] = []
-    for c in others:
-        ratio = _rationalize(c.coefficient / ref.coefficient)
+    for c, coeff in others:
+        ratio = _rationalize(coeff / ref_coeff)
         if ratio is None:
             raise IncommensurateError(
-                f"coefficient ratio {c.coefficient / ref.coefficient!r} of "
+                f"coefficient ratio {coeff / ref_coeff!r} of "
                 f"({c.description or c.kind.value}) vs "
                 f"({ref.description or ref.kind.value}) is not rational"
             )
@@ -286,7 +251,7 @@ def solve_timing(
             continue
         witnesses = [TimingWitness(ref, k_ref)]
         ok = True
-        for c, ratio in zip(others, ratios):
+        for (c, _), ratio in zip(others, ratios):
             k_frac = (ratio * phase_ref - c.residue_over_pi) / 2
             if k_frac.denominator != 1 or not (
                 c.min_witness <= k_frac <= search_bound
@@ -298,14 +263,12 @@ def solve_timing(
             witnesses.append(TimingWitness(c, int(k_frac)))
         if not ok:
             continue
-        duration = float(phase_ref) * math.pi / ref.coefficient
-        witnesses.extend(trivial)
-        return TimingSolution(
-            label=label,
-            duration=duration,
-            witnesses=tuple(witnesses),
-            residual=_max_residual(duration, witnesses),
+        duration = float(phase_ref) * math.pi / ref_coeff
+        coefficients = (ref_coeff, *(coeff for _, coeff in others))
+        residual = _max_residual(
+            duration, zip(coefficients, (w.phase_float for w in witnesses))
         )
+        return TimingSolution(label, duration, (*witnesses, *trivial), residual)
 
     detail = ""
     if blockers:
@@ -681,6 +644,7 @@ class GateSchedule:
     def to_json_dict(self) -> dict:
         windows = []
         for label, sol in self.solutions.items():
+            cfg = self.window_config(label)
             rows = []
             for w in sol.witnesses:
                 rows.append(
@@ -690,7 +654,7 @@ class GateSchedule:
                         "level": str(w.constraint.level),
                         "residue_over_pi": str(w.constraint.residue_over_pi),
                         "witness": w.k,
-                        "coefficient": w.constraint.coefficient,
+                        "coefficient": w.constraint.coefficient_in(cfg),
                     }
                 )
             windows.append(
@@ -715,14 +679,13 @@ class GateSchedule:
         out = io.StringIO()
         out.write("gate,segment,coefficient,residue,witness,duration_seconds\n")
         for label, sol in self.solutions.items():
+            cfg = self.window_config(label)
             for w in sol.witnesses:
-                coeff = w.constraint.coefficient
-                coeff_text = "" if coeff is None else repr(coeff)
                 residue = w.constraint.residue_over_pi
                 residue_text = "0" if residue == 0 else f"{residue}*pi"
                 out.write(
-                    f"{self.gate},{label},{coeff_text},{residue_text},"
-                    f"{w.k},{sol.duration!r}\n"
+                    f"{self.gate},{label},{w.constraint.coefficient_in(cfg)!r},"
+                    f"{residue_text},{w.k},{sol.duration!r}\n"
                 )
         for name, value in self.totals.items():
             out.write(f"{self.gate},{name},,,,{value!r}\n")
@@ -732,30 +695,29 @@ class GateSchedule:
 def _derive_window(
     label: str, witnesses: tuple[TimingWitness, ...], cfg: PhysicalConfig
 ) -> tuple[TimingSolution, dict[str, float]]:
-    """Bind a window's table witnesses (clock first) to a config, in floats only.
+    """Solve a window from its table witnesses (clock first) and a config, in floats only.
 
     The clock fixes the duration t; every other knob is phase * pi / (level * t),
     per unit of its config value: gamma for the drive (B1), else an exact 1.0.
+    The solution holds the table's own witnesses.
     """
     clock, others = witnesses[0], witnesses[1:]
     coefficient = clock.level_float * clock.constraint.kind.knob_value(cfg)
-    duration = clock.phase_float * math.pi / coefficient
+    # A coefficient that underflows to 0 stands for a duration past the float range.
+    duration = clock.phase_float * math.pi / coefficient if coefficient else math.inf
 
     deltas: dict[str, float] = {}
-    bound = [clock.with_coefficient(coefficient)]
+    terms = [(coefficient, clock.phase_float)]
     for w in others:
         kind = w.constraint.kind
         per_unit = cfg.gamma if kind is ConstraintKind.DRIVE else 1.0
         value = w.phase_float * math.pi / (w.level_float * duration) / per_unit
+        if not math.isfinite(value):
+            raise ValueError(f"derived {kind.config_key} = {value!r} is not finite")
         deltas[kind.config_key] = value
-        bound.append(w.with_coefficient(w.level_float * (per_unit * value)))
+        terms.append((w.level_float * (per_unit * value), w.phase_float))
 
-    solution = TimingSolution(
-        label=label,
-        duration=duration,
-        witnesses=tuple(bound),
-        residual=_max_residual(duration, bound),
-    )
+    solution = TimingSolution(label, duration, witnesses, _max_residual(duration, terms))
     return solution, deltas
 
 
@@ -800,28 +762,30 @@ def gate_timing_table(
             solutions[label] = TimingSolution(label, sol.duration, sol.witnesses, sol.residual)
             if first in derived:
                 derived[label] = dict(derived[first])
-        elif mode == DERIVE_CONSTANTS:
-            sol, deltas = _derive_window(label, table.derive_witnesses[label], cfg)
-            solutions[label] = sol
-            if deltas:
-                derived[label] = deltas
-        else:
-            if cfg.b1 > 0 and any(c.kind is ConstraintKind.EXCHANGE for c in constraints):
-                raise ScheduleInfeasibleError(
-                    f"{name} window {label} is infeasible with the shared constants: "
-                    f"b1 = {cfg.b1!r} drives the coupled spins, and the drive does "
-                    "not commute with the exchange"
-                )
-            bound = [c.bound(cfg) for c in constraints]
-            try:
-                solutions[label] = solve_timing(
-                    bound, search_bound, label=label
-                )
-            except IncommensurateError as exc:
-                raise ScheduleInfeasibleError(
-                    f"{name} window {label} is infeasible with the shared "
-                    f"constants: {exc}"
-                ) from exc
+            continue
+        if mode == SHARED_CONSTANTS and cfg.b1 > 0 and any(
+            c.kind is ConstraintKind.EXCHANGE for c in constraints
+        ):
+            raise ScheduleInfeasibleError(
+                f"{name} window {label} is infeasible with the shared constants: "
+                f"b1 = {cfg.b1!r} drives the coupled spins, and the drive does "
+                "not commute with the exchange"
+            )
+        try:
+            if mode == DERIVE_CONSTANTS:
+                sol, deltas = _derive_window(label, table.derive_witnesses[label], cfg)
+                if deltas:
+                    derived[label] = deltas
+            else:
+                sol = solve_timing(constraints, cfg, search_bound, label=label)
+        except IncommensurateError as exc:
+            raise ScheduleInfeasibleError(
+                f"{name} window {label} is infeasible with the shared "
+                f"constants: {exc}"
+            ) from exc
+        except ValueError as exc:
+            raise ValueError(f"{name} window {label}: {exc}") from exc
+        solutions[label] = sol
 
     totals: dict[str, float] = {}
     for total_label, terms in table.totals:
@@ -829,6 +793,8 @@ def gate_timing_table(
         for ref, weight in terms:
             base = totals[ref] if ref in totals else solutions[ref].duration
             value += weight * base
+        if not math.isfinite(value):
+            raise ValueError(f"{name} total {total_label} = {value!r} s is not finite")
         totals[total_label] = value
 
     flags: dict[str, object] = {}

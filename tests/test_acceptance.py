@@ -175,13 +175,14 @@ def test_criterion_7_timing_solver(schedules):
 
     # Brute-force lattice scan (witnesses <= 50) confirms minimality of
     # every solved window against an independent duration intersection.
-    def brute_minimum(constraints, bound=50):
+    def brute_minimum(constraints, window, bound=50):
         sets = []
         for c in constraints:
-            if c.coefficient == 0:
+            coefficient = float(c.level) * c.kind.knob_value(window)
+            if coefficient == 0:
                 continue
             values = [
-                (2 * k + float(c.residue_over_pi)) * math.pi / c.coefficient
+                (2 * k + float(c.residue_over_pi)) * math.pi / coefficient
                 for k in range(c.min_witness, bound + 1)
                 if 2 * k + float(c.residue_over_pi) > 0
             ]
@@ -193,9 +194,9 @@ def test_criterion_7_timing_solver(schedules):
 
     minimal = True
     for sched in schedules.values():
-        for sol in sched.solutions.values():
+        for label, sol in sched.solutions.items():
             constraints = [w.constraint for w in sol.witnesses]
-            best = brute_minimum(constraints)
+            best = brute_minimum(constraints, sched.window_config(label))
             if best is None or abs(best - sol.duration) > 1e-9:
                 minimal = False
 

@@ -935,6 +935,29 @@ def test_random_command_lines_end_in_a_documented_exit_code(argv):
         assert cli._STATUS_EXIT[doc["status"]] == code, (argv, err.getvalue())
 
 
+# Resonant decades at the edge of the float range, omega and b0 together:
+# random command lines draw them apart, miss resonance and never reach a
+# window. cz fits from 1e-307 up; at 1e-310 its t1 overflows. cccnot's
+# t1 to t3 fit at 1e-307 but its total T1 does not, and at 1.7e308 its
+# derived J overflows.
+EXTREME_DECADES = {
+    ("cz", "1e-310"): 3, ("cz", "1e-307"): 0, ("cz", "1.7e308"): 0,
+    ("cccnot", "1e-310"): 3, ("cccnot", "1e-307"): 3, ("cccnot", "1.7e308"): 3,
+}
+
+
+@pytest.mark.parametrize("gate, scale", EXTREME_DECADES, ids="-".join)
+@pytest.mark.parametrize("command", ["schedule", "build", "verify"])
+def test_extreme_decades_end_in_a_strict_document(capsys, command, gate, scale):
+    argv = [command, gate, "--natural-units", "--json", "--omega", scale, "--b0", scale]
+    code, out = run_cli(capsys, *argv)
+    assert code == EXTREME_DECADES[gate, scale]
+    doc = strict_json(out)
+    assert cli._STATUS_EXIT[doc["status"]] == code
+    if code == 3:
+        assert re.search(r"\bwindow t\d+: |\btotal T\d* = ", doc["payload"]["message"])
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

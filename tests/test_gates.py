@@ -812,7 +812,7 @@ class TestBuildersReadOnlyWitnesses:
         cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5)
         schedule = gate_timing_table("ccnot", cfg, mode="shared-constants")
         drive = schedule.solutions["t1"].witness_for(ConstraintKind.DRIVE)
-        assert (drive.k, drive.constraint.coefficient) == (0, 0.0)
+        assert (drive.k, drive.constraint.coefficient_in(cfg)) == (0, 0.0)
         for spec, pulse in component_pulses(schedule).items():
             report = phase_fidelity(pulse, ideal_component(spec))
             assert report.fidelity == pytest.approx(1.0, abs=1e-12), spec.label

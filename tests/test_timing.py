@@ -5,7 +5,7 @@ import io
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,8 @@ from spinforge.timing import (
     IncommensurateError,
     ScheduleInfeasibleError,
     TimingConstraint,
+    TimingSolution,
+    TimingWitness,
     RESIDUAL_TOL,
     gate_timing_table,
     _rationalize,
@@ -32,25 +34,38 @@ from spinforge.timing import (
 PI = math.pi
 
 
-def constraint(kind, level, residue, coefficient=None, min_witness=1, text=""):
+def constraint(kind, level, residue, min_witness=1, text=""):
     return TimingConstraint(
         kind=kind,
         level=Fraction(level),
         residue_over_pi=Fraction(residue),
         description=text,
         min_witness=min_witness,
-        coefficient=coefficient,
     )
 
 
-def brute_force_minimum(constraints, bound=50, tol=1e-9):
+def reference_coefficient(c, cfg, derived=None):
+    """float(level) x knob, the knob read from ``derived`` (keyed as in
+    config files) before ``cfg``: the coefficient an export must carry."""
+    derived = derived or {}
+    knob = {
+        ConstraintKind.ZEEMAN: cfg.omega,
+        ConstraintKind.DRIVE: cfg.gamma * derived.get("b1", cfg.b1),
+        ConstraintKind.EXCHANGE: derived.get("j", cfg.j_coupling),
+        ConstraintKind.OFFSET: derived.get("b_prime", cfg.b_prime),
+    }[c.kind]
+    return float(c.level) * knob
+
+
+def brute_force_minimum(constraints, cfg, bound=50, tol=1e-9):
     """Independent oracle: intersect the per-constraint duration sets."""
     candidate_sets = []
     for c in constraints:
-        if c.coefficient == 0:
+        coefficient = reference_coefficient(c, cfg)
+        if coefficient == 0:
             continue
         durations = {
-            k: (2 * k + float(c.residue_over_pi)) * PI / c.coefficient
+            k: (2 * k + float(c.residue_over_pi)) * PI / coefficient
             for k in range(c.min_witness, bound + 1)
             if 2 * k + float(c.residue_over_pi) > 0
         }
@@ -63,10 +78,13 @@ def brute_force_minimum(constraints, bound=50, tol=1e-9):
     return best
 
 
+NATURAL = PhysicalConfig.natural_units()
+
+
 class TestSolveTiming:
     def test_single_constraint_smallest_witness(self):
-        c = constraint(ConstraintKind.ZEEMAN, 1, "1/4", coefficient=1.0)
-        sol = solve_timing([c])
+        c = constraint(ConstraintKind.ZEEMAN, 1, "1/4")
+        sol = solve_timing([c], NATURAL)
         assert sol.duration == pytest.approx(2 * PI + PI / 4, abs=1e-12)
         assert sol.witnesses[0].k == 1
 
@@ -74,66 +92,66 @@ class TestSolveTiming:
         # omega = 1, J = 0.4, B' = 0.1: the clock's witness 1 gives
         # t1 = 5*pi/2, where J*t = pi and B'*t = pi/4 meet at witness 0.
         cs = [
-            constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0),
-            constraint(ConstraintKind.EXCHANGE, 1, 1, coefficient=0.4, min_witness=0),
-            constraint(ConstraintKind.OFFSET, 1, "1/4", coefficient=0.1, min_witness=0),
+            constraint(ConstraintKind.ZEEMAN, 1, "1/2"),
+            constraint(ConstraintKind.EXCHANGE, 1, 1, min_witness=0),
+            constraint(ConstraintKind.OFFSET, 1, "1/4", min_witness=0),
         ]
-        sol = solve_timing(cs)
+        sol = solve_timing(cs, PhysicalConfig.natural_units(j_coupling=0.4, b_prime=0.1))
         assert sol.duration == pytest.approx(5 * PI / 2, abs=1e-12)
         assert [sol.witness_for(c.kind).k for c in cs] == [1, 0, 0]
         assert sol.residual <= 1e-12
 
+    def test_the_solution_holds_the_given_constraints(self):
+        cs = [
+            constraint(ConstraintKind.ZEEMAN, 1, "1/2"),
+            constraint(ConstraintKind.EXCHANGE, 1, 1, min_witness=0),
+            constraint(ConstraintKind.DRIVE, 1, 0, min_witness=0),
+        ]
+        sol = solve_timing(cs, PhysicalConfig.natural_units(j_coupling=0.4))
+        assert len(sol.witnesses) == len(cs)
+        for c in cs:
+            assert sol.witness_for(c.kind).constraint is c
+
     def test_irrational_ratio_is_incommensurate(self):
-        c1 = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
-        c2 = constraint(ConstraintKind.EXCHANGE, 1, "1/2", coefficient=math.sqrt(2))
+        c1 = constraint(ConstraintKind.ZEEMAN, 1, "1/2")
+        c2 = constraint(ConstraintKind.EXCHANGE, 1, "1/2")
         with pytest.raises(IncommensurateError, match="not rational"):
-            solve_timing([c1, c2])
+            solve_timing([c1, c2], PhysicalConfig.natural_units(j_coupling=math.sqrt(2)))
 
     def test_empty_constraints_rejected(self):
         with pytest.raises(EmptyConstraintsError):
-            solve_timing([])
-
-    def test_unbound_constraint_rejected(self):
-        with pytest.raises(ValueError, match="not bound"):
-            solve_timing([constraint(ConstraintKind.ZEEMAN, 1, "1/2")])
+            solve_timing([], NATURAL)
 
     def test_bound_exhaustion_names_blocker(self):
-        c1 = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
+        c1 = constraint(ConstraintKind.ZEEMAN, 1, "1/2")
         # Rational but never simultaneously satisfiable with witness <= 5:
         # second needs (3/2)(2k + 1/2) - 1/2 even, i.e. 3k + 1/4 integer.
-        c2 = constraint(
-            ConstraintKind.OFFSET,
-            1,
-            "1/2",
-            coefficient=1.5,
-            text="offset congruence",
-        )
+        c2 = constraint(ConstraintKind.OFFSET, 1, "1/2", text="offset congruence")
         with pytest.raises(IncommensurateError, match="offset congruence"):
-            solve_timing([c1, c2], search_bound=5)
+            solve_timing([c1, c2], PhysicalConfig.natural_units(b_prime=1.5), search_bound=5)
 
     def test_zero_coefficient_with_zero_residue_is_trivial(self):
-        quiet = constraint(
-            ConstraintKind.DRIVE, 1, 0, coefficient=0.0, min_witness=0
-        )
-        clock = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
-        sol = solve_timing([clock, quiet])
+        quiet = constraint(ConstraintKind.DRIVE, 1, 0, min_witness=0)
+        clock = constraint(ConstraintKind.ZEEMAN, 1, "1/2")
+        sol = solve_timing([clock, quiet], NATURAL)
         drive = sol.witness_for(ConstraintKind.DRIVE)
         assert drive.k == 0
 
     def test_zero_coefficient_with_residue_rejected(self):
-        bad = constraint(ConstraintKind.DRIVE, 1, "1/2", coefficient=0.0)
+        bad = constraint(ConstraintKind.DRIVE, 1, "1/2")
         with pytest.raises(IncommensurateError, match="zero coefficient"):
-            solve_timing([bad])
+            solve_timing([bad], NATURAL)
 
     def test_minimality_against_brute_force(self):
         # Shared constants make a nontrivial simultaneous system.
         cs = [
-            constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0),
-            constraint(ConstraintKind.EXCHANGE, 1, 1, coefficient=2.0, min_witness=0),
-            constraint(ConstraintKind.OFFSET, 1, "1/4", coefficient=0.5, min_witness=0),
+            constraint(ConstraintKind.ZEEMAN, 1, "1/2"),
+            constraint(ConstraintKind.EXCHANGE, 1, 1, min_witness=0),
+            constraint(ConstraintKind.OFFSET, 1, "1/4", min_witness=0),
         ]
-        sol = solve_timing(cs)
-        expected = brute_force_minimum(cs)
+        cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5)
+        sol = solve_timing(cs, cfg)
+        expected = brute_force_minimum(cs, cfg)
         assert expected is not None
         assert sol.duration == pytest.approx(expected, abs=1e-9)
         assert sol.duration == pytest.approx(9 * PI / 2, abs=1e-12)
@@ -236,8 +254,7 @@ class TestGateTables:
         for label, sol in sched.solutions.items():
             witnesses = {w.constraint.kind: w for w in sol.witnesses}
             clock = witnesses[ConstraintKind.ZEEMAN]
-            bound = clock.constraint
-            best = brute_force_minimum([bound])
+            best = brute_force_minimum([clock.constraint], sched.window_config(label))
             assert best is not None
             assert sol.duration == pytest.approx(best, abs=1e-9), label
 
@@ -265,8 +282,7 @@ class TestGateTables:
         cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5)
         sched = gate_timing_table("ccnot", cfg, mode="shared-constants")
         for label, sol in sched.solutions.items():
-            bound = [w.constraint for w in sol.witnesses]
-            best = brute_force_minimum(bound)
+            best = brute_force_minimum([w.constraint for w in sol.witnesses], cfg)
             assert best is not None
             assert sol.duration == pytest.approx(best, rel=1e-9), label
 
@@ -415,8 +431,8 @@ def recomputed_window(constraints, cfg):
 
     Each knob is inverted here from its exact phase: knob = phase * pi /
     (level * t), with B1 = knob / gamma for the drive, in the library's
-    float operation order. Returns the duration, the witnesses, the bound
-    constraints, the derived constants and the residual.
+    float operation order. Returns the duration, the witnesses, the
+    constraints, their coefficients, the derived constants and the residual.
     """
     fresh = [_fresh(c) for c in constraints]
     clock = next(c for c in fresh if c.kind is ConstraintKind.ZEEMAN)
@@ -444,11 +460,10 @@ def recomputed_window(constraints, cfg):
         else:
             deltas[key] = knob
         coefficients.append(float(c.level) * knob)
-    bound = [replace(c, coefficient=x) for c, x in zip((clock, *others), coefficients)]
     residual = 0.0
-    for c, phase in zip(bound, phases):
-        residual = max(residual, abs(c.coefficient * duration - float(phase) * PI))
-    return duration, ks, bound, deltas, residual
+    for x, phase in zip(coefficients, phases):
+        residual = max(residual, abs(x * duration - float(phase) * PI))
+    return duration, ks, [clock, *others], coefficients, deltas, residual
 
 
 @st.composite
@@ -466,7 +481,7 @@ def resonant_configs(draw):
 
 
 class TestWindowsBindTableWitnesses:
-    """Derive-constants windows bind per-table exact witnesses to a config."""
+    """Derive-constants windows hold per-table exact witnesses; a config only scales them."""
 
     @settings(max_examples=60, deadline=None)
     @given(cfg=resonant_configs())
@@ -474,15 +489,20 @@ class TestWindowsBindTableWitnesses:
         for gate, table in timing.GATE_TABLES.items():
             sched = gate_timing_table(gate, cfg)
             for label, constraints in table.windows:
-                duration, ks, bound, deltas, residual = recomputed_window(constraints, cfg)
+                duration, ks, fresh, coefficients, deltas, residual = recomputed_window(
+                    constraints, cfg
+                )
                 sol = sched.solutions[label]
+                window = sched.window_config(label)
                 assert sol.duration == duration, (gate, label)
                 assert [w.k for w in sol.witnesses] == ks, (gate, label)
-                # Equal constraints have equal coefficients too.
-                assert [w.constraint for w in sol.witnesses] == bound, (gate, label)
+                assert [w.constraint for w in sol.witnesses] == fresh, (gate, label)
+                assert [
+                    w.constraint.coefficient_in(window) for w in sol.witnesses
+                ] == coefficients, (gate, label)
                 assert sched.derived.get(label, {}) == deltas, (gate, label)
                 assert sol.residual == residual, (gate, label)
-                for w, c, k in zip(sol.witnesses, bound, ks):
+                for w, c, k in zip(sol.witnesses, fresh, ks):
                     assert w.phase_over_pi == 2 * k + c.residue_over_pi
                     assert w.knob_phase_over_pi == (2 * k + c.residue_over_pi) / c.level
 
@@ -492,9 +512,10 @@ class TestWindowsBindTableWitnesses:
         assert list(table.derive_witnesses) == ["t1", "t2", "t3", "t4"]
         sched = gate_timing_table("cccnot", PhysicalConfig.natural_units())
         for label, witnesses in table.derive_witnesses.items():
-            for unbound, w in zip(witnesses, sched.solutions[label].witnesses):
-                assert unbound.constraint.coefficient is None
-                assert w.knob_phase_over_pi is unbound.knob_phase_over_pi
+            sol = sched.solutions[label]
+            assert len(sol.witnesses) == len(witnesses)
+            for i, w in enumerate(sol.witnesses):
+                assert w is table.derive_witnesses[label][i]
 
     def test_a_second_config_does_no_fraction_arithmetic(self, monkeypatch):
         for gate in timing.GATE_TABLES:
@@ -516,8 +537,8 @@ class TestWindowsBindTableWitnesses:
                 gates.component_program(spec, sched)
 
     def test_a_second_config_does_no_fraction_comparison(self, monkeypatch):
-        # A bound copy keeps its table constraint's validated level and
-        # residue, so binding checks only the new float coefficient.
+        # A derive-mode window holds its table's validated constraints, so
+        # a config builds and checks no constraint.
         for gate in timing.GATE_TABLES:
             gate_timing_table(gate, PhysicalConfig.natural_units())
 
@@ -544,7 +565,6 @@ class TestWindowsBindTableWitnesses:
             ({"level": 0}, "level must be positive, got 0"),
             ({"residue": "2"}, "residue 2*pi outside (-2*pi, 2*pi)"),
             ({"min_witness": -1}, "min_witness must be >= 0, got -1"),
-            ({"coefficient": -1.0}, "coefficient must be >= 0, got -1.0"),
         ],
     )
     def test_a_bad_constraint_built_directly_is_named(self, fields, message):
@@ -552,13 +572,15 @@ class TestWindowsBindTableWitnesses:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             constraint(**args)
 
-    def test_a_bound_copy_still_rejects_a_negative_coefficient(self):
+    def test_a_constraint_is_a_table_fact(self):
+        assert [f.name for f in fields(TimingConstraint)] == [
+            "kind", "level", "residue_over_pi", "description", "min_witness",
+        ]
         table_constraint = timing.GATE_TABLES["cz"].windows[0][1][0]
-        with pytest.raises(ValueError, match=r"^coefficient must be >= 0, got -1.0$"):
-            table_constraint.with_coefficient(-1.0)
-        bound = table_constraint.with_coefficient(2.5)
-        assert bound == replace(table_constraint, coefficient=2.5)
-        assert table_constraint.coefficient is None
+        with pytest.raises(AttributeError):
+            table_constraint.coefficient
+        cfg = PhysicalConfig.natural_units(j_coupling=0.4)
+        assert table_constraint.coefficient_in(cfg) == reference_coefficient(table_constraint, cfg)
 
 
 class TestScheduleExport:
@@ -594,11 +616,78 @@ class TestScheduleExport:
             assert window["duration_seconds"] == sched.solutions[window["segment"]].duration
 
 
+def assert_exports_carry_level_times_knob(sched):
+    """Every JSON and CSV coefficient is float(level) x the window's knob, bit for bit."""
+    expected = [
+        reference_coefficient(w.constraint, sched.cfg, sched.derived.get(label)).hex()
+        for label, sol in sched.solutions.items()
+        for w in sol.witnesses
+    ]
+    doc = json.loads(json.dumps(sched.to_json_dict()))
+    exported = [row["coefficient"].hex() for w in doc["windows"] for row in w["constraints"]]
+    assert exported == expected
+    rows = [line.split(",") for line in sched.to_csv_text().splitlines()[1:]]
+    assert [float(row[2]).hex() for row in rows if row[2]] == expected
+
+
+class TestExportedCoefficients:
+    """A coefficient is computed on export from the window's config."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=resonant_configs())
+    def test_derive_mode_exports_level_times_knob(self, cfg):
+        for gate in timing.GATE_TABLES:
+            assert_exports_carry_level_times_knob(gate_timing_table(gate, cfg))
+
+    @pytest.mark.parametrize("gate", list(timing.GATE_TABLES))
+    def test_shared_mode_exports_level_times_knob(self, gate):
+        # NOT's one-spin window needs the drive on; every coupled one, off.
+        b1 = 0.2 if gate == "not" else 0.0
+        cfg = PhysicalConfig.natural_units(j_coupling=2.0, b_prime=0.5, b1=b1)
+        assert_exports_carry_level_times_knob(
+            gate_timing_table(gate, cfg, mode="shared-constants")
+        )
+
+
+class TestNonFiniteNumbers:
+    """A duration, derived knob or total past the float range is a named error."""
+
+    @pytest.mark.parametrize(
+        "duration, residual, message",
+        [
+            (math.nan, math.nan, "duration nan s is not positive and finite"),
+            (math.inf, 0.0, "duration inf s is not positive and finite"),
+            (0.0, 0.0, "duration 0.0 s is not positive and finite"),
+            (1.0, math.nan, "residual nan exceeds 1e-09 rad"),
+            (1.0, 1e-8, "residual 1.000e-08 exceeds 1e-09 rad"),
+        ],
+    )
+    def test_a_solution_rejects_what_is_not_a_number(self, duration, residual, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TimingSolution("t", duration, (), residual)
+
+    @pytest.mark.parametrize(
+        "gate, scale, message",
+        [
+            # omega*t = 2*pi + pi/2 needs t = 2.5*pi/1e-310, past the float range.
+            ("cz", 1e-310, "cz window t1: duration inf s is not positive and finite"),
+            # omega/2 underflows to 0, so the clock never turns.
+            ("not", 5e-324, "not window t1: duration inf s is not positive and finite"),
+            ("cccnot", 1.7e308, "cccnot window t1: derived j = inf is not finite"),
+            # Each window fits, but T1 = t1 + 2*t2 + 7*t3 does not.
+            ("cccnot", 1e-307, "cccnot total T1 = inf s is not finite"),
+            ("ccnot", 1e-307, "ccnot total T1 = inf s is not finite"),
+        ],
+    )
+    def test_gate_timing_table_names_the_window_or_total(self, gate, scale, message):
+        cfg = PhysicalConfig.natural_units(omega=scale, b0=scale)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gate_timing_table(gate, cfg)
+
+
 class TestWitnessBookkeeping:
     def test_negative_witness_rejected(self):
-        from spinforge.timing import TimingWitness
-
-        c = constraint(ConstraintKind.ZEEMAN, 1, "1/2", coefficient=1.0)
+        c = constraint(ConstraintKind.ZEEMAN, 1, "1/2")
         with pytest.raises(ValueError):
             TimingWitness(c, -1)
 
@@ -607,9 +696,7 @@ class TestWitnessBookkeeping:
             constraint(ConstraintKind.ZEEMAN, 1, "5/2")
 
     def test_knob_phase_levels(self):
-        c = constraint(ConstraintKind.EXCHANGE, "1/4", "-1/8", coefficient=0.5)
-        from spinforge.timing import TimingWitness
-
+        c = constraint(ConstraintKind.EXCHANGE, "1/4", "-1/8")
         w = TimingWitness(c, 1)
         assert w.phase_over_pi == Fraction(15, 8)
         assert w.knob_phase_over_pi == Fraction(15, 2)
@@ -688,9 +775,10 @@ class TestRationalizeBoundary:
     def test_rational_knob_ratios_solve(self, r, scale):
         # omega*t = 2k*pi and J*t = 2m*pi with J/omega = p/q first meet at
         # k = q, m = p: the solver must find exactly that witness pair.
-        ref = constraint(ConstraintKind.ZEEMAN, 1, 0, coefficient=scale, text="omega")
-        other = constraint(ConstraintKind.EXCHANGE, 1, 0, coefficient=scale * float(r), text="J")
-        sol = solve_timing([ref, other], search_bound=r.numerator)
+        ref = constraint(ConstraintKind.ZEEMAN, 1, 0, text="omega")
+        other = constraint(ConstraintKind.EXCHANGE, 1, 0, text="J")
+        cfg = PhysicalConfig.natural_units(omega=scale, b0=scale, j_coupling=scale * float(r))
+        sol = solve_timing([ref, other], cfg, search_bound=r.numerator)
         assert sol.duration == pytest.approx(2 * r.denominator * PI / scale, rel=1e-12)
         assert sol.witness_for(ConstraintKind.ZEEMAN).k == r.denominator
         assert sol.witness_for(ConstraintKind.EXCHANGE).k == r.numerator
