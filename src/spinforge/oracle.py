@@ -82,16 +82,19 @@ def _step_coefficients(g0, ga, gb, omega, dt):
     """Fourier coefficients of the RK4 increment R(θ) - I in the drive phase θ.
 
     The generator G = -iH = g0 + cos(θ) ga + sin(θ) gb is taken at the
-    phases θ, θ + ω dt/2 and θ + ω dt of one step's start, middle and end.
-    With A1, A2, A4 those three generators, the classical stages applied to
-    the identity are M1 = A2 (I + dt/2 A1), M2 = A2 (I + dt/2 M1),
-    M3 = A4 (I + dt M2), and R = I + dt/6 (A1 + 2 M1 + 2 M2 + M3): the
-    textbook RK4 step. R - I is a product of at most four G's, so it is a
-    trig polynomial of degree _HARMONICS in θ. Sampled at 2·_HARMONICS + 1
+    phases θ, θ + ω dt/2 and θ + ω dt of one step's start, middle and end,
+    and scaled by dt before any product: with B1, B2, B4 those three
+    generators times dt, the classical stages applied to the identity are
+    M1 = B2 (I + B1/2), M2 = B2 (I + M1/2), M3 = B4 (I + M2), and
+    R = I + (B1 + 2 M1 + 2 M2 + M3)/6: the textbook RK4 step. Scaling
+    first keeps the products as large as dt·|H| allows, so a register
+    whose |H| is far below 1 does not lose the step's higher orders to
+    underflow. R - I is a product of at most four G's, so it is a trig
+    polynomial of degree _HARMONICS in θ. Sampled at 2·_HARMONICS + 1
     equally spaced phases, a discrete Fourier sum recovers it exactly.
     Returns the coefficient matrices stacked in the order of _harmonics.
-    An overflowing step gives non-finite coefficients without a numpy
-    warning; the drift check of _integrate names it.
+    Non-finite generators give non-finite coefficients without a numpy
+    warning; the drift check of _integrate names them.
     """
     samples = 2 * _HARMONICS + 1
     theta = 2 * np.pi * np.arange(samples) / samples
@@ -100,12 +103,26 @@ def _step_coefficients(g0, ga, gb, omega, dt):
     fourier[0] /= 2  # the constant term has weight 1/samples
     with np.errstate(over="ignore", invalid="ignore"):
         g = g0 + np.cos(wt)[..., None, None] * ga + np.sin(wt)[..., None, None] * gb
-        a1, a2, a4 = g[:, 0], g[:, 1], g[:, 2]
-        m1 = a2 + (dt / 2) * (a2 @ a1)
-        m2 = a2 + (dt / 2) * (a2 @ m1)
-        m3 = a4 + dt * (a4 @ m2)
-        increments = (dt / 6) * (a1 + 2 * m1 + 2 * m2 + m3)
+        b = dt * g
+        b1, b2, b4 = b[:, 0], b[:, 1], b[:, 2]
+        m1 = b2 + 0.5 * (b2 @ b1)
+        m2 = b2 + 0.5 * (b2 @ m1)
+        m3 = b4 + b4 @ m2
+        increments = (b1 + 2 * m1 + 2 * m2 + m3) / 6
         return (fourier @ increments.reshape(samples, -1)).reshape(samples, *g0.shape)
+
+
+def _diagonal_coefficients(coeffs):
+    """The coefficients' diagonals, (9, d), when no off-diagonal entry is nonzero.
+
+    Then every step map R_k is diagonal: a window whose drive is off
+    (b1 = 0) has a constant, diagonal Hamiltonian. Otherwise, or when an
+    off-diagonal entry is not finite, the dense coefficients come back.
+    """
+    off_diagonal = ~np.eye(coeffs.shape[-1], dtype=bool)
+    if np.any(coeffs[:, off_diagonal]):  # a NaN counts as nonzero
+        return coeffs
+    return np.diagonal(coeffs, axis1=1, axis2=2).copy()
 
 
 def _step_maps(coeffs, omega, t0, dt, count):
@@ -123,9 +140,12 @@ def _step_maps(coeffs, omega, t0, dt, count):
     return maps.reshape(count, dim, dim)
 
 
-def _chunk_steps(dim):
-    """Steps per chunk of step maps: as many d×d complex maps as fit _CHUNK_BYTES."""
-    return _CHUNK_BYTES // (16 * dim * dim)
+def _chunk_steps(dim, diagonal=False):
+    """Steps per chunk: as many step maps as fit _CHUNK_BYTES.
+
+    A map is d×d complex entries, or d of them when it is diagonal.
+    """
+    return _CHUNK_BYTES // (16 * dim * (1 if diagonal else dim))
 
 
 def _prefix_products(p):
@@ -152,28 +172,46 @@ def _prefix_products(p):
     return p
 
 
-def _chunk_propagators(g0, ga, gb, omega, dt, n_steps):
+def _diagonal_prefix_products(diagonals, omega, t0, dt, count):
+    """Diagonals of P_j = R_j ... R_1 for ``count`` diagonal step maps from t0.
+
+    Each R_k's diagonal is 1 plus the expansion of _step_maps restricted
+    to the coefficients' diagonals, (9, d); diagonal maps commute, so
+    their prefix products are the running product of those diagonals.
+    """
+    phases = omega * (t0 + np.arange(count) * dt)
+    maps = (_harmonics(phases) @ diagonals.view(float)).view(complex)
+    maps += 1
+    return np.cumprod(maps, axis=0, out=maps)
+
+
+def _chunk_propagators(coeffs, omega, dt, n_steps):
     """Per chunk of steps, the prefix products P_j = R_j ... R_1 of its step maps.
 
-    P_j advances the state at the chunk's start by j steps. Each chunk is
-    yielded as its P_j stacked row-wise, so all the chunk's states come
-    from one matrix-vector product. The step maps' Fourier coefficients
-    are fixed once for the whole window.
+    P_j advances the state at the chunk's start by j steps. A chunk is
+    its P_j stacked, (count, d, d), so all the chunk's states come from
+    one matrix-vector product; with diagonal coefficients it is their
+    diagonals, (count, d), and the states come from one elementwise
+    product.
     """
-    dim = g0.shape[0]
-    steps = _chunk_steps(dim)
-    coeffs = _step_coefficients(g0, ga, gb, omega, dt)
+    dim = coeffs.shape[-1]
+    diagonal = coeffs.ndim == 2
+    steps = _chunk_steps(dim, diagonal)
     for start in range(0, n_steps, steps):
         count = min(steps, n_steps - start)
-        p = _prefix_products(_step_maps(coeffs, omega, start * dt, dt, count))
-        yield p.reshape(count * dim, dim)
+        if diagonal:
+            yield _diagonal_prefix_products(coeffs, omega, start * dt, dt, count)
+        else:
+            yield _prefix_products(_step_maps(coeffs, omega, start * dt, dt, count))
 
 
 def _window(cfg, n, n_steps, dt):
     """The chunk propagators of a window, after the stability check.
 
     Inside lab_propagator the first column builds the whole window and the
-    other columns reuse it; elsewhere the chunks are built one at a time.
+    other columns reuse it, if it holds at most _SHARED_WINDOW_BYTES;
+    elsewhere the chunks are built one at a time. The step maps' Fourier
+    coefficients are fixed once per window.
     """
     shared = _shared_windows.get()
     key = (cfg, n, n_steps, dt)
@@ -186,8 +224,11 @@ def _window(cfg, n, n_steps, dt):
             f"dt * spectral_radius = {dt * radius:.3g} exceeds the "
             f"stability heuristic {STABILITY_LIMIT}; shrink dt"
         )
-    chunks = _chunk_propagators(-1j * h0, -1j * a, -1j * b, cfg.omega, dt, n_steps)
-    if shared is None or n_steps * 16 * 4**n > _SHARED_WINDOW_BYTES:
+    coeffs = _diagonal_coefficients(
+        _step_coefficients(-1j * h0, -1j * a, -1j * b, cfg.omega, dt)
+    )
+    chunks = _chunk_propagators(coeffs, cfg.omega, dt, n_steps)
+    if shared is None or n_steps * 16 * coeffs[0].size > _SHARED_WINDOW_BYTES:
         return chunks
     shared[key] = list(chunks)
     return shared[key]
@@ -244,8 +285,11 @@ def _integrate(cfg, n, psi0, t_final, settings, record=None):
     n_steps, dt = step_plan(t_final, settings)
 
     step = 0
-    for stacked in _window(cfg, n, n_steps, dt):
-        raw = (stacked @ psi).reshape(-1, len(psi))
+    for p in _window(cfg, n, n_steps, dt):
+        if p.ndim == 2:  # the diagonals of diagonal prefix products
+            raw = p * psi
+        else:
+            raw = (p.reshape(-1, len(psi)) @ psi).reshape(-1, len(psi))
         pairs = raw.view(float)  # re, im side by side
         drift = np.abs(np.sqrt(np.einsum("ij,ij->i", pairs, pairs)) - 1.0)
         if not drift.max() <= NORM_DRIFT_LIMIT:  # a NaN drift fails too

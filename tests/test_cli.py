@@ -825,15 +825,21 @@ class TestSimulateBadNumbers:
         assert code == 3
         assert out.startswith(f"error: {message}")
 
-    def test_overflowing_knobs_end_in_the_drift_error(self, capsys):
-        argv = ["simulate", "--n", "1", "--psi0", "0", "--t-final", "1e-300",
-                "--b0", "1e300", "--b1", "1e6", "--natural-units", "--json"]
+    def test_non_finite_step_maps_end_in_the_drift_error(self, capsys, monkeypatch):
+        # Step maps that overflow give NaN states: the document must carry
+        # the named drift error, not NaN amplitudes.
+        step_coefficients = oracle._step_coefficients
+        monkeypatch.setattr(
+            oracle, "_step_coefficients", lambda *args: step_coefficients(*args) * np.nan
+        )
+        argv = ["simulate", "--n", "1", "--psi0", "0", "--t-final", "1", "--dt", "0.125",
+                "--b1", "0.05", "--natural-units", "--json"]
         code, out = run_cli(capsys, *argv)
         assert code == 3
         assert strict_json(out) == {
             "status": "error",
             "payload": {
-                "message": "norm drift nan at t=1e-304 (step 1, dt=1e-304); "
+                "message": "norm drift nan at t=0.125 (step 1, dt=0.125); "
                 "the step size is unstable"
             },
         }
@@ -956,6 +962,16 @@ def test_extreme_decades_end_in_a_strict_document(capsys, command, gate, scale):
     assert cli._STATUS_EXIT[doc["status"]] == code
     if code == 3:
         assert re.search(r"\bwindow t\d+: |\btotal T\d* = ", doc["payload"]["message"])
+
+
+@pytest.mark.parametrize("scale", ["1e-170", "1e-300"])
+def test_a_tiny_resonant_register_verifies(capsys, scale):
+    # Every check is scale-invariant, the oracle's π pulse too: ω·dt is the
+    # same at every decade, and its RK4 steps keep their fourth order.
+    argv = ["verify", "all", "--natural-units", "--json", "--omega", scale, "--b0", scale]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert strict_json(out)["payload"]["all_passed"] is True
 
 
 class _ClosedPipe(io.TextIOBase):

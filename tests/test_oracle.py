@@ -326,7 +326,7 @@ CHUNK_EDGE_STEPS = (1, 63, 64, 65, 129)
 
 def chunks_of_64_steps():
     """The oracle with 64-step chunks at every n, as a context manager."""
-    return mock.patch.object(oracle, "_chunk_steps", lambda dim: 64)
+    return mock.patch.object(oracle, "_chunk_steps", lambda dim, diagonal=False: 64)
 
 
 def stage_form_rk4(cfg, n, psi0, t_final, steps):
@@ -356,18 +356,21 @@ def stage_form_rk4(cfg, n, psi0, t_final, steps):
 
 @st.composite
 def oracle_cases(draw):
-    """A resonant or detuned weak-drive config, a random state and a step size.
+    """A resonant or detuned config, a random state and a step size.
 
-    dt stays under 0.02 so dt * spectral radius is below the oracle's 0.1
-    stability limit for every drawn config at n <= 4.
+    The drive is weak, or off at n >= 2 as in every coupled phase window,
+    where the oracle steps on the step maps' diagonals. dt stays under
+    0.02 so dt * spectral radius is below the oracle's 0.1 stability
+    limit for every drawn config at n <= 4.
     """
-    n = draw(st.integers(1, 4))
+    drive_off = draw(st.booleans())
+    n = draw(st.integers(2 if drive_off else 1, 4))
     b0 = draw(st.floats(0.5, 1.5))
     detuning = draw(st.sampled_from([1.0, 1.0, 0.8, 1.25]))
     cfg = PhysicalConfig(
         gamma=1.0,
         b0=b0,
-        b1=b0 * draw(st.floats(0.01, 0.1)),
+        b1=0.0 if drive_off else b0 * draw(st.floats(0.01, 0.1)),
         omega=b0 * detuning,
         j_coupling=draw(st.floats(0.0, 0.5)),
     )
@@ -418,9 +421,10 @@ class TestStepMapReference:
         final = integrate_lab(cfg, 4, psi0, t_final, settings_)
         assert np.max(np.abs(final - ref_states[-1])) <= 1e-12
 
+    @pytest.mark.parametrize("b1", [0.06, 0.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_propagator_columns_are_basis_state_integrations(self, n):
-        cfg = PhysicalConfig.natural_units(b1=0.06, omega=0.9, j_coupling=0.3)
+    def test_propagator_columns_are_basis_state_integrations(self, n, b1):
+        cfg = PhysicalConfig.natural_units(b1=b1, omega=0.9, j_coupling=0.3)
         t_final = 65 * 0.01
         settings_ = IntegrationSettings(0.01)
         u = lab_propagator(cfg, n, t_final, settings_)
@@ -482,6 +486,7 @@ class TestConvergenceScript:
 # ---------------------------------------------------------------------------
 
 CFG_COUPLED = PhysicalConfig.natural_units(b1=0.06, omega=0.9, j_coupling=0.3)
+CFG_DRIVE_OFF = CFG_COUPLED.replace(b1=0.0)
 
 
 def drift_dt():
@@ -530,14 +535,15 @@ class TestSharedWindows:
         lab_propagator(CFG_COUPLED, n, three_chunk_steps(n) * 0.01, IntegrationSettings(0.01))
         assert calls == {"step_maps": 3, "integrate_lab": 2**n}  # chunk + chunk + 2 steps
 
-    def test_standalone_integration_holds_one_chunk(self):
+    @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_DRIVE_OFF], ids=["driven", "drive_off"])
+    def test_standalone_integration_holds_one_chunk(self, cfg):
         # The whole 4-qubit window of 10 000 steps would be 41 MiB.
         settings_ = IntegrationSettings(0.01)
         for n in range(1, 5):
             psi0 = basis_state(n, "01" * (n // 2) + "0" * (n % 2))
             tracemalloc.start()
             try:
-                integrate_lab(CFG_COUPLED, n, psi0, 10_000 * 0.01, settings_)
+                integrate_lab(cfg, n, psi0, 10_000 * 0.01, settings_)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -585,6 +591,72 @@ class TestSharedWindows:
             lab_propagator(CFG_DRIVEN, 1, 30_000 * dt, settings_)
 
 
+def diagonal_chunk_steps(n):
+    """Steps of a drive-off window of two whole diagonal chunks and two steps more."""
+    return 2 * oracle._chunk_steps(2**n, diagonal=True) + 2
+
+
+def refuse_dense_maps(monkeypatch):
+    """Make building a dense step map or its prefix products fail the test."""
+
+    def refused(*args):
+        raise AssertionError("a drive-off window built dense step maps")
+
+    monkeypatch.setattr(oracle, "_step_maps", refused)
+    monkeypatch.setattr(oracle, "_prefix_products", refused)
+
+
+class TestDriveOffWindows:
+    """With the drive off the step maps are diagonal, and so are their products."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_dense_step_map_is_built(self, n, monkeypatch):
+        refuse_dense_maps(monkeypatch)
+        t_final = diagonal_chunk_steps(n) * 0.01
+        u = lab_propagator(CFG_DRIVE_OFF, n, t_final, IntegrationSettings(0.01))
+        assert np.count_nonzero(u - np.diag(np.diag(u))) == 0
+
+    def test_four_qubit_window_is_built_once_per_call(self, monkeypatch):
+        # 20 000 steps of 16 diagonal entries hold 5 MiB, under
+        # _SHARED_WINDOW_BYTES; as dense 16×16 maps they would hold 82 MB.
+        counts = []
+        prefix_products = oracle._diagonal_prefix_products
+
+        def counted(*args):
+            counts.append(args[-1])
+            return prefix_products(*args)
+
+        monkeypatch.setattr(oracle, "_diagonal_prefix_products", counted)
+        lab_propagator(CFG_DRIVE_OFF, 4, 20_000 * 0.01, IntegrationSettings(0.01))
+        assert counts == [4096] * 4 + [20_000 - 4 * 4096]
+
+    def test_drift_error_names_a_first_step_inside_a_chunk(self):
+        # The basis state of the largest |energy| drifts first; at
+        # dt * radius = 0.099 it passes the limit in the second chunk.
+        energies = np.diag(lab_hamiltonian(CFG_DRIVE_OFF, 3, 0.0)).real
+        dt = 0.099 / np.max(np.abs(energies))
+        psi0 = basis_state(3, format(int(np.argmax(np.abs(energies))), "03b"))
+        expected = first_step_past_the_drift_limit(CFG_DRIVE_OFF, 3, psi0, 30_000, dt)
+        chunk = oracle._chunk_steps(8, diagonal=True)
+        assert expected is not None and chunk < expected and 8 <= expected % chunk <= chunk - 8
+        settings_ = IntegrationSettings(dt)
+        with pytest.raises(IntegrationError, match=rf"\(step {expected}, ") as exc:
+            integrate_lab(CFG_DRIVE_OFF, 3, psi0, 30_000 * dt, settings_)
+        assert f"at t={expected * dt!r} " in str(exc.value)
+        with pytest.raises(IntegrationError, match=rf"\(step {expected}, "):
+            lab_propagator(CFG_DRIVE_OFF, 3, 30_000 * dt, settings_)
+
+    def test_fourth_order_at_three_qubits_with_exchange(self, monkeypatch):
+        # A closed-form step would leave no dt^4 error to fall 16x per halving.
+        refuse_dense_maps(monkeypatch)
+        cfg = PhysicalConfig.natural_units(j_coupling=0.4)
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        devs = convergence_study(cfg, 3, amps / np.linalg.norm(amps), 20.0, 0.04, halvings=2)
+        for coarse, fine in zip(devs, devs[1:]):
+            assert coarse / fine == pytest.approx(16, rel=0.05)
+
+
 class TestBadInputsNamed:
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_non_finite_dt(self, dt):
@@ -628,12 +700,22 @@ class TestBadInputsNamed:
         with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
             analytic_rotating(CFG_DRIVEN, 1, basis_state(1, "0"), t)
 
-    def test_overflowing_step_maps_raise_not_return_nan(self):
-        # The step maps overflow to NaN states, and NaN > limit is False:
-        # the drift check must fail them, not pass them.
-        cfg = PhysicalConfig.natural_units(b0=1e300, b1=1e6)
-        with pytest.raises(IntegrationError, match=r"norm drift nan at t=1e-304 \(step 1,"):
-            integrate_lab(cfg, 1, basis_state(1, "0"), 1e-300)
+    @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_DRIVE_OFF], ids=["driven", "drive_off"])
+    def test_non_finite_step_maps_raise_not_return_nan(self, cfg, monkeypatch):
+        # Step maps that overflow give NaN states, and NaN > limit is False:
+        # the drift check must fail them, not pass them. Only the diagonals
+        # turn NaN, so a drive-off window keeps its diagonal path.
+        step_coefficients = oracle._step_coefficients
+
+        def nan_diagonals(*args):
+            coeffs = step_coefficients(*args)
+            diag = np.arange(coeffs.shape[-1])
+            coeffs[:, diag, diag] = np.nan
+            return coeffs
+
+        monkeypatch.setattr(oracle, "_step_coefficients", nan_diagonals)
+        with pytest.raises(IntegrationError, match=r"norm drift nan at t=0\.01 \(step 1,"):
+            integrate_lab(cfg, 2, basis_state(2, "01"), 1.0, IntegrationSettings(0.01))
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_propagator_names_the_system_size(self, n):
@@ -737,6 +819,19 @@ class TestFourierStepMaps:
         ref = stage_form_step_maps(g0, ga, gb, omega, t0, dt, count)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
+    def test_coefficients_do_not_depend_on_the_decade(self, scale):
+        # A step depends on dt·G and ω·dt alone: G and ω scaled by s with dt
+        # scaled by 1/s must give the same coefficients, at decades where
+        # products of unscaled generators underflow or overflow.
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        g0, ga, gb = -0.5j * (m + m.conj().transpose(0, 2, 1))
+        ref = oracle._step_coefficients(g0, ga, gb, 1.1, 0.01)
+        scaled = (scale * g0, scale * ga, scale * gb, scale * 1.1, 0.01 / scale)
+        got = oracle._step_coefficients(*scaled)
+        assert np.max(np.abs(got - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
