@@ -299,8 +299,13 @@ def cmd_verify(args) -> CommandResult:
             continue
         if pulses is None:
             # One replay of each distinct component serves both circuit
-            # products and the audit.
-            pulses = gates.circuit_component_pulses(cfg)
+            # products and the audit. A circuit the scope does not name is
+            # replayed for the audit alone, from its natural-units schedule:
+            # a derive-constants pulse is the same under any config.
+            natural = PhysicalConfig.natural_units()
+            pulses = gates.circuit_component_pulses(
+                {gate: cfg if scope in ("all", gate) else natural for gate in gates.CIRCUITS}
+            )
         _verify_composed(name, pulses, checks)
     if pulses is not None:
         reports = _verify_audit(pulses, checks)

@@ -541,20 +541,22 @@ def component_reports(pulses: dict[GateSpec, np.ndarray]) -> list[FidelityReport
     ]
 
 
-def circuit_component_pulses(cfg: PhysicalConfig) -> dict[GateSpec, np.ndarray]:
+def circuit_component_pulses(
+    configs: dict[str, PhysicalConfig],
+) -> dict[GateSpec, np.ndarray]:
     """``component_pulses`` of the ccnot and then the cccnot schedule, each
-    derived once."""
-    pulses = {}
-    for gate in CIRCUITS:
-        pulses.update(component_pulses(gate_timing_table(gate, cfg)))
-    return pulses
+    derived once, under the config ``configs`` gives its circuit; both are
+    solved before any replay, so a schedule that fails costs no replay."""
+    schedules = [gate_timing_table(gate, configs[gate]) for gate in CIRCUITS]
+    return {spec: u for s in schedules for spec, u in component_pulses(s).items()}
 
 
 def audit_components() -> list[FidelityReport]:
     """Fidelity report of every pulse component against its ideal target,
     from the natural-units schedules (the pulses are the same under any
     config)."""
-    return component_reports(circuit_component_pulses(PhysicalConfig.natural_units()))
+    natural = dict.fromkeys(CIRCUITS, PhysicalConfig.natural_units())
+    return component_reports(circuit_component_pulses(natural))
 
 
 def flagged_components(reports) -> list[FidelityReport]:

@@ -206,7 +206,7 @@ def _chunk_propagators(coeffs, omega, dt, n_steps):
 
 
 def _window(cfg, n, n_steps, dt):
-    """The chunk propagators of a window, after the stability check.
+    """The chunk propagators of a window, after the finiteness and stability checks.
 
     Inside lab_propagator the first column builds the whole window and the
     other columns reuse it, if it holds at most _SHARED_WINDOW_BYTES;
@@ -217,9 +217,15 @@ def _window(cfg, n, n_steps, dt):
     key = (cfg, n, n_steps, dt)
     if shared is not None and key in shared:
         return shared[key]
-    h0, a, b = _drive_parts(cfg, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0, a, b = _drive_parts(cfg, n)
+    if not all(np.isfinite(part).all() for part in (h0, a, b)):
+        raise ValueError(
+            f"the lab Hamiltonian of {n} spins is not finite at gamma = "
+            f"{cfg.gamma!r}, b0 = {cfg.b0!r}, b1 = {cfg.b1!r}, j = {cfg.j_coupling!r}"
+        )
     radius = _spectral_radius(h0 + a)  # H(0): cos 0 = 1, sin 0 = 0
-    if dt * radius > STABILITY_LIMIT:
+    if not dt * radius <= STABILITY_LIMIT:  # a NaN radius fails too
         raise ValueError(
             f"dt * spectral_radius = {dt * radius:.3g} exceeds the "
             f"stability heuristic {STABILITY_LIMIT}; shrink dt"

@@ -10,10 +10,11 @@ residual and on export. Floats appear only in durations, derived knobs,
 coefficients and residuals.
 
 Each Toffoli circuit is stated once, as its components in time order
-(GateTable.circuit); its total T, the component table, the circuit
-sequences and the gate-name lists are derived from it. The gate-name
-grammar (GateSpec, parse_gate_name) lives here too, so gate_timing_table,
-the gate library and the CLI all resolve names the same way.
+(GateTable.circuit); its windows, component totals and total T, the
+component table, the circuit sequences and the gate-name lists are
+derived from it. The gate-name grammar (GateSpec, parse_gate_name) lives
+here too, so gate_timing_table, the gate library and the CLI all resolve
+names the same way.
 """
 from __future__ import annotations
 
@@ -326,10 +327,15 @@ def _c(
     )
 
 
+def _term(residue: str) -> str:
+    """The residue term of a description: '+ pi/4', '- pi/8'."""
+    frac = Fraction(residue)
+    return f"{'-' if frac < 0 else '+'} pi/{frac.denominator}"
+
+
 def _phase_window(residue: str, drive_level: str) -> tuple[TimingConstraint, ...]:
     """omega*t/2, J*t/4 and B'*t land on one residue; the drive turns whole."""
-    frac = Fraction(residue)
-    term = f"{'-' if frac < 0 else '+'} pi/{frac.denominator}"
+    term = _term(residue)
     drive = "gamma*B1*t/2" if drive_level == "1/2" else "gamma*B1*t"
     return (
         _c(ConstraintKind.ZEEMAN, "1/2", residue, 1, f"omega*t/2 = 2n*pi {term}"),
@@ -339,8 +345,9 @@ def _phase_window(residue: str, drive_level: str) -> tuple[TimingConstraint, ...
     )
 
 
-def _free_pulse(residue: str, min_witness: int, text: str) -> tuple[TimingConstraint, ...]:
-    return (_c(ConstraintKind.ZEEMAN, "1/2", residue, min_witness, text),)
+def _free_pulse(residue: str, witness: str) -> tuple[TimingConstraint, ...]:
+    text = f"omega*t/2 = 2{witness}*pi {_term(residue)}"
+    return (_c(ConstraintKind.ZEEMAN, "1/2", residue, 1, text),)
 
 
 def _cz_window() -> tuple[TimingConstraint, ...]:
@@ -406,89 +413,37 @@ def _window_witnesses(
     return tuple(witnesses)
 
 
-def _circuit_table(windows, component_totals, circuit) -> GateTable:
-    """A circuit's table; its total T weights each component total by its
-    number of uses, in order of first use."""
+def _circuit_table(n: int, drive_level: str, circuit) -> GateTable:
+    """A circuit's table from its register size, its phase windows' drive
+    level and its circuit rows (kind, control, target, total).
+
+    Each total, at its first use, owns one component's windows in order:
+    the phase window (residue -1/2^n; a cnot's is 1/4), weight 1; the
+    target's y pulse, weight 2; and the correction pulse (residue -1/2^n),
+    weight m, one pulse per spectator site and per spectator pair; a cnot
+    times its corrections by its y window, of weight 2 + m. T weights each
+    component total by its number of uses, in order of first use.
+    """
+    m = (n - 2) + (math.comb(n, 2) - 1)
+    residue = f"-1/{2**n}"
+    y, d = _free_pulse("1/4", "m"), _free_pulse(residue, "n")
+    windows: list[tuple[str, tuple[TimingConstraint, ...]]] = []
+    totals: dict[str, tuple[tuple[str, int], ...]] = {}
+    for kind, _, _, total in circuit:
+        if total in totals:
+            continue
+        cnot = kind == "cnot"  # its corrections run on its y window
+        phase = _phase_window("1/4" if cnot else residue, drive_level)
+        owned = ((phase, 1), (y, 2 + m)) if cnot else ((phase, 1), (y, 2), (d, m))
+        terms = []
+        for constraints, weight in owned:
+            windows.append((f"t{len(windows) + 1}", constraints))
+            terms.append((windows[-1][0], weight))
+        totals[total] = tuple(terms)
     uses = Counter(total for *_, total in circuit)
-    return GateTable(windows, (*component_totals, ("T", tuple(uses.items()))), circuit)
-
-
-def _ccnot_table() -> GateTable:
-    y = _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
-    d = _free_pulse("-1/8", 1, "omega*t/2 = 2n*pi - pi/8")
-    window = _phase_window("-1/8", "1/2")
-    cnot = _phase_window("1/4", "1/2")
-    windows = (
-        ("t1", window),
-        ("t2", y),
-        ("t3", d),
-        ("t4", cnot),
-        ("t5", y),
-        ("t6", window),
-        ("t7", y),
-        ("t8", d),
+    return GateTable(
+        tuple(windows), (*totals.items(), ("T", tuple(uses.items()))), circuit
     )
-    totals = (
-        ("T1", (("t1", 1), ("t2", 2), ("t3", 3))),
-        ("T2", (("t4", 1), ("t5", 5))),
-        ("T3", (("t6", 1), ("t7", 2), ("t8", 3))),
-    )
-    circuit = (
-        ("cx_half", 2, 3, "T1"),
-        ("cnot", 1, 2, "T2"),
-        ("cx_neg_half", 2, 3, "T1"),
-        ("cnot", 1, 2, "T2"),
-        ("cx_half", 1, 3, "T3"),
-    )
-    return _circuit_table(windows, totals, circuit)
-
-
-def _cccnot_table() -> GateTable:
-    y = _free_pulse("1/4", 1, "omega*t/2 = 2m*pi + pi/4")
-    d = _free_pulse("-1/16", 1, "omega*t/2 = 2n*pi - pi/16")
-    window = _phase_window("-1/16", "1")
-    cnot = _phase_window("1/4", "1")
-    windows = (
-        ("t1", window),
-        ("t2", y),
-        ("t3", d),
-        ("t4", cnot),
-        ("t5", y),
-        ("t6", window),
-        ("t7", y),
-        ("t8", d),
-        ("t9", cnot),
-        ("t10", y),
-        ("t11", window),
-        ("t12", y),
-        ("t13", d),
-        ("t14", cnot),
-        ("t15", y),
-    )
-    totals = (
-        ("T1", (("t1", 1), ("t2", 2), ("t3", 7))),
-        ("T2", (("t4", 1), ("t5", 9))),
-        ("T3", (("t6", 1), ("t7", 2), ("t8", 7))),
-        ("T4", (("t9", 1), ("t10", 9))),
-        ("T5", (("t11", 1), ("t12", 2), ("t13", 7))),
-        ("T6", (("t14", 1), ("t15", 9))),
-    )
-    circuit = (
-        ("cx_quarter", 1, 4, "T1"),
-        ("cnot", 1, 2, "T2"),
-        ("cx_neg_quarter", 2, 4, "T3"),
-        ("cnot", 1, 2, "T2"),
-        ("cx_quarter", 2, 4, "T3"),
-        ("cnot", 2, 3, "T4"),
-        ("cx_neg_quarter", 3, 4, "T5"),
-        ("cnot", 1, 3, "T6"),
-        ("cx_quarter", 3, 4, "T5"),
-        ("cnot", 2, 3, "T4"),
-        ("cx_neg_quarter", 3, 4, "T5"),
-        ("cnot", 1, 3, "T6"),
-        ("cx_quarter", 3, 4, "T5"),
-    )
-    return _circuit_table(windows, totals, circuit)
 
 
 GATE_TABLES: dict[str, GateTable] = {
@@ -515,8 +470,28 @@ GATE_TABLES: dict[str, GateTable] = {
         windows=(("t1", _cz_window()), ("t2", _quarter_turn_pulse())),
         totals=(("T", (("t1", 1), ("t2", 2))),),
     ),
-    "ccnot": _ccnot_table(),
-    "cccnot": _cccnot_table(),
+    "ccnot": _circuit_table(3, "1/2", (
+        ("cx_half", 2, 3, "T1"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_neg_half", 2, 3, "T1"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_half", 1, 3, "T3"),
+    )),
+    "cccnot": _circuit_table(4, "1", (
+        ("cx_quarter", 1, 4, "T1"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_neg_quarter", 2, 4, "T3"),
+        ("cnot", 1, 2, "T2"),
+        ("cx_quarter", 2, 4, "T3"),
+        ("cnot", 2, 3, "T4"),
+        ("cx_neg_quarter", 3, 4, "T5"),
+        ("cnot", 1, 3, "T6"),
+        ("cx_quarter", 3, 4, "T5"),
+        ("cnot", 2, 3, "T4"),
+        ("cx_neg_quarter", 3, 4, "T5"),
+        ("cnot", 1, 3, "T6"),
+        ("cx_quarter", 3, 4, "T5"),
+    )),
 }
 
 COMPONENT_PARENT_GATE = {3: "ccnot", 4: "cccnot"}

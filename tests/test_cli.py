@@ -825,6 +825,17 @@ class TestSimulateBadNumbers:
         assert code == 3
         assert out.startswith(f"error: {message}")
 
+    def test_overflowing_hamiltonian_is_named_with_empty_stderr(self, capsys):
+        argv = ["simulate", "--n", "4", "--psi0", "0000", "--t-final", "1e-300",
+                "--b0", "1e308", "--natural-units", "--json"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (3, "")
+        assert strict_json(out)["payload"]["message"] == (
+            "the lab Hamiltonian of 4 spins is not finite at gamma = 1.0, "
+            "b0 = 1e+308, b1 = 0.0, j = 0.0"
+        )
+
     def test_non_finite_step_maps_end_in_the_drift_error(self, capsys, monkeypatch):
         # Step maps that overflow give NaN states: the document must carry
         # the named drift error, not NaN amplitudes.
@@ -962,6 +973,29 @@ def test_extreme_decades_end_in_a_strict_document(capsys, command, gate, scale):
     assert cli._STATUS_EXIT[doc["status"]] == code
     if code == 3:
         assert re.search(r"\bwindow t\d+: |\btotal T\d* = ", doc["payload"]["message"])
+
+
+def test_a_circuit_scope_solves_only_its_own_schedule_under_the_config(capsys):
+    # At 5e-306 ccnot's schedule fits and cccnot's total T does not; the
+    # audit replays cccnot's components from its natural-units schedule.
+    argv = ["verify", "ccnot", "--natural-units", "--json", "--omega", "5e-306",
+            "--b0", "5e-306"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = strict_json(out)["payload"]
+    assert [c["name"] for c in payload["checks"]] == VERIFY_CHECK_NAMES["ccnot"]
+    assert [row["gate_label"] for row in payload["components"]] == COMPONENT_LABELS
+    code, out = run_cli(capsys, "verify", "all", *argv[2:])
+    assert code == 3
+    assert strict_json(out)["payload"]["message"] == "cccnot total T = inf s is not finite"
+
+
+def test_a_circuit_scope_names_its_own_gate_when_its_schedule_fails(capsys):
+    argv = ["verify", "cccnot", "--natural-units", "--json", "--omega", "1e-307",
+            "--b0", "1e-307"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert strict_json(out)["payload"]["message"] == "cccnot total T1 = inf s is not finite"
 
 
 @pytest.mark.parametrize("scale", ["1e-170", "1e-300"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -62,6 +63,7 @@ from spinforge.timing import (
     COMPONENT_PARENT_GATE,
     COMPONENT_TABLE,
     GATE_KINDS,
+    GATE_TABLES,
     WHOLE_GATES,
     ConstraintKind,
     GateSchedule,
@@ -397,6 +399,30 @@ class TestPulseComponents:
         c4 = component_program(GateSpec("cnot", 1, 2, 4), cccnot_schedule)
         labels_c4 = [s.duration_label for s in c4.segments]
         assert labels_c4.count("t5") == 9
+
+    @pytest.mark.parametrize(
+        "spec", [*AUDIT_SPECS_3Q, *AUDIT_SPECS_4Q, GATE_REGISTRY["cnot"][2]],
+        ids=lambda s: s.label,
+    )
+    def test_segment_counts_are_the_total_weights(self, spec):
+        # The weights of a component's total (timing._circuit_table) and the
+        # pulses its program holds (gates._component_segments) state one
+        # fact twice: each window's weight is its number of pulses, and the
+        # phase window, however many segments it holds, is one pulse.
+        if spec.n == 2:
+            program = gates_module.cnot_program(gate_timing_table("cnot", CFG))
+            table, total = GATE_TABLES["cnot"], "T"
+        else:
+            parent = COMPONENT_PARENT_GATE[spec.n]
+            program = component_program(spec, gate_timing_table(parent, CFG))
+            table = GATE_TABLES[parent]
+            total = COMPONENT_TABLE[(spec.n, spec.base_kind, spec.control, spec.target)][1]
+        weights = dict(dict(table.totals)[total])
+        counts = Counter(s.duration_label for s in program.segments)
+        phase_label = next(iter(weights))
+        assert counts[phase_label] > 1
+        counts[phase_label] = 1
+        assert counts == weights
 
     def test_total_time_matches_schedule_totals(self, ccnot_schedule):
         program = component_program(GateSpec("cnot", 1, 2, 3), ccnot_schedule)

@@ -717,6 +717,23 @@ class TestBadInputsNamed:
         with pytest.raises(IntegrationError, match=r"norm drift nan at t=0\.01 \(step 1,"):
             integrate_lab(cfg, 2, basis_state(2, "01"), 1.0, IntegrationSettings(0.01))
 
+    def test_non_finite_hamiltonian_is_named(self):
+        # At n = 4 the Zeeman term's 2·b0 overflows, and the product with
+        # -gamma gives NaN imaginary parts. The window names the Hamiltonian
+        # before any step, and numpy warns of nothing: tier-1 turns a
+        # RuntimeWarning into an error.
+        cfg = PhysicalConfig.natural_units(b0=1e308)
+        message = "the lab Hamiltonian of 4 spins is not finite at gamma = 1.0, b0 = 1e+308"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate_lab(cfg, 4, basis_state(4, "0000"), 1e-300)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lab_propagator(cfg, 4, 1e-300, IntegrationSettings(1e-304))
+
+    def test_stability_check_fails_a_nan_radius(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_spectral_radius", lambda h: math.nan)
+        with pytest.raises(ValueError, match=r"dt \* spectral_radius = nan exceeds"):
+            integrate_lab(CFG_DRIVEN, 1, basis_state(1, "0"), 1.0, IntegrationSettings(0.01))
+
     @pytest.mark.parametrize("n", [0, 5])
     def test_propagator_names_the_system_size(self, n):
         with pytest.raises(ValueError, match=f"system size {n} outside 1..4"):
